@@ -1,4 +1,4 @@
-// Ablation benches for the design choices DESIGN.md calls out:
+// Ablation benches for ConnectIt's design choices:
 //   A1  IdentifyFrequent: sampled estimator vs exact count
 //   A2  two-phase execution: frequent-component skip on vs off
 //   A3  streaming batch locality: unpermuted vs permuted update order

@@ -1,9 +1,10 @@
 // Shared infrastructure for the paper-reproduction bench binaries.
 //
 // Each bench binary regenerates one table or figure of the paper's
-// evaluation (see DESIGN.md §2 for the index) and prints it in the paper's
-// row/series shape. The graph suite substitutes synthetic graphs for the
-// paper's inputs (DESIGN.md §4); CONNECTIT_BENCH_SCALE=large grows them.
+// evaluation (see ARCHITECTURE.md "Where the paper maps onto the tree" for
+// the index) and prints it in the paper's row/series shape. The graph suite
+// substitutes synthetic graphs for the paper's inputs;
+// CONNECTIT_BENCH_SCALE=large grows them.
 
 #ifndef CONNECTIT_BENCH_BENCH_COMMON_H_
 #define CONNECTIT_BENCH_BENCH_COMMON_H_

@@ -2,7 +2,7 @@
 // graph this environment can synthesize, comparing every system built in
 // this repository — the stand-in for the paper's Hyperlink2012 comparison
 // against external/distributed systems (which require the proprietary
-// WebDataCommons crawl and a 1TB machine; see DESIGN.md §4).
+// WebDataCommons crawl and a 1TB machine).
 
 #include <unistd.h>
 
@@ -18,6 +18,7 @@
 #include "src/baselines/gapbs_sv.h"
 #include "src/baselines/seq_cc.h"
 #include "src/baselines/workefficient_cc.h"
+#include "src/core/connectivity_index.h"
 #include "src/core/registry.h"
 #include "src/graph/compressed.h"
 #include "src/graph/container.h"
@@ -27,14 +28,21 @@
 
 int main(int argc, char** argv) {
   using namespace connectit;
-  // --container-out=PATH: where the cold-load section writes its
-  // machine-readable artifact (for tools/bench_trajectory.py append).
+  // --container-out=PATH / --publication-out=PATH: where the cold-load and
+  // publication-sweep sections write their machine-readable artifacts (for
+  // tools/bench_trajectory.py append).
   const char* container_out = "BENCH_container.json";
+  const char* publication_out = "BENCH_publication.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--container-out=", 16) == 0) {
       container_out = argv[i] + 16;
+    } else if (std::strncmp(argv[i], "--publication-out=", 18) == 0) {
+      publication_out = argv[i] + 18;
     } else {
-      std::fprintf(stderr, "usage: %s [--container-out=PATH]\n", argv[0]);
+      std::fprintf(stderr,
+                   "usage: %s [--container-out=PATH] "
+                   "[--publication-out=PATH]\n",
+                   argv[0]);
       return 2;
     }
   }
@@ -227,6 +235,64 @@ int main(int argc, char** argv) {
       std::printf("wrote %s\n", container_out);
     } else {
       std::fprintf(stderr, "cannot write %s\n", container_out);
+      return 1;
+    }
+  }
+
+  // ---- Insert publication vs n ----
+  // Fixed 2000-edge batches into indexes of growing n (RMAT, 2n base
+  // edges, Build -> Stream): the per-Insert snapshot publication should
+  // stay flat as n grows, since it costs time in the batch, not in n.
+  bench::PrintTitle("Insert publication vs n (2000-edge batches, RMAT 2n)");
+  {
+    constexpr size_t kBatch = 2000;
+    constexpr int kBatches = 20;
+    std::printf("%-10s %16s %18s %14s\n", "n", "publish us/ins",
+                "process us/ins", "insert us/ins");
+    std::string rows;
+    for (int lg = 16; lg <= 24; lg += 2) {
+      const NodeId sn = NodeId{1} << lg;
+      const EdgeList stream =
+          GenerateRmatEdges(sn, 2ull * sn + kBatch * kBatches, /*seed=*/lg);
+      EdgeList base;
+      base.num_nodes = sn;
+      base.edges.assign(stream.edges.begin(), stream.edges.begin() + 2 * sn);
+      Connectivity index;
+      index.Build(GraphHandle(base)).Stream();
+      const stats::ServingSnapshot before = stats::ReadServing();
+      double insert_s = 0;
+      for (int b = 0; b < kBatches; ++b) {
+        const auto first = stream.edges.begin() + 2 * sn + b * kBatch;
+        const std::vector<Edge> batch(first, first + kBatch);
+        insert_s += bench::TimeIt([&] { index.Insert(batch); });
+      }
+      const stats::ServingSnapshot after = stats::ReadServing();
+      const double publish_us =
+          static_cast<double>(after.publication_cost_us -
+                              before.publication_cost_us) /
+          kBatches;
+      const double insert_us = 1e6 * insert_s / kBatches;
+      std::printf("%-10u %16.1f %18.1f %14.1f\n", sn, publish_us,
+                  insert_us - publish_us, insert_us);
+      char row[256];
+      std::snprintf(row, sizeof(row),
+                    "%s    {\"name\": \"n%u\", \"n\": %u, "
+                    "\"publication_cost_us\": %.1f, "
+                    "\"process_batch_us\": %.1f, \"insert_us\": %.1f}",
+                    rows.empty() ? "" : ",\n", sn, sn, publish_us,
+                    insert_us - publish_us, insert_us);
+      rows += row;
+    }
+    if (FILE* f = std::fopen(publication_out, "w")) {
+      std::fprintf(f,
+                   "{\n  \"bench\": \"insert_publication_sweep\",\n"
+                   "  \"batch_edges\": %zu,\n  \"batches\": %d,\n"
+                   "  \"workers\": %zu,\n  \"sweep\": [\n%s\n  ]\n}\n",
+                   kBatch, kBatches, NumWorkers(), rows.c_str());
+      std::fclose(f);
+      std::printf("wrote %s\n", publication_out);
+    } else {
+      std::fprintf(stderr, "cannot write %s\n", publication_out);
       return 1;
     }
   }

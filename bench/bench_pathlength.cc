@@ -1,6 +1,6 @@
 // Reproduces Figures 6, 7, 9, 10: Max Path Length and Total Path Length vs
 // running time for the union-find variants, plus the parent-array access
-// proxy standing in for LLC misses / memory traffic (DESIGN.md §4). Also
+// proxy standing in for LLC misses / memory traffic. Also
 // prints the Pearson correlation of each statistic with running time, the
 // paper's headline analysis numbers (TPL ~0.738, MPL ~0.344).
 

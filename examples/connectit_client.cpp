@@ -366,10 +366,8 @@ int main(int argc, char** argv) {
                 (unsigned long long)probe.backpressure_rejections,
                 (unsigned long long)probe.protocol_errors,
                 (unsigned long long)probe.queue_depth_hwm);
-    std::printf("publications %llu  skips %llu  cadence k %llu\n",
-                (unsigned long long)probe.snapshot_publications,
-                (unsigned long long)probe.publication_skips,
-                (unsigned long long)probe.publication_cadence_k);
+    std::printf("publications %llu\n",
+                (unsigned long long)probe.snapshot_publications);
   } else if (command == "selftest" && args.size() == 1) {
     return SelfTest(client, selftest_nodes, selftest_rounds, selftest_seed);
   } else {

@@ -18,11 +18,7 @@
 //                       connections (default 2)
 //   --queue-capacity=N  bounded mutation-queue depth; a full queue answers
 //                       kBackpressure instead of buffering (default 128)
-//   --publish-every=K   snapshot-publication cadence: publish after every
-//                       K-th insert batch (default 1 = every batch)
-//   --adaptive-cadence  derive the cadence from measured publication cost
-//                       instead of a fixed K (see Spec::AdaptiveCadence)
-//   --stats             print the transport counters
+//   --stats            print the transport counters
 //                       (stats::ReadTransport) on shutdown
 //
 // The server runs until SIGTERM or SIGINT, then drains gracefully:
@@ -62,7 +58,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
       stderr,
       "usage: connectit_server (--unix=PATH | --tcp-port=N [--tcp-host=H])\n"
       "                        [--nodes=N] [--workers=N] [--queue-capacity=N]\n"
-      "                        [--publish-every=K] [--adaptive-cadence]\n"
       "                        [--stats]\n");
   std::exit(2);
 }
@@ -74,8 +69,6 @@ int main(int argc, char** argv) {
 
   serve::ServerConfig config;
   NodeId nodes = 1u << 20;
-  uint32_t publish_every = 1;
-  bool adaptive_cadence = false;
   bool print_stats = false;
   for (int i = 1; i < argc; ++i) {
     std::string value;
@@ -91,10 +84,6 @@ int main(int argc, char** argv) {
       config.workers = std::stoul(value);
     } else if (ParseFlag(argv[i], "--queue-capacity", &value)) {
       config.queue_capacity = std::stoul(value);
-    } else if (ParseFlag(argv[i], "--publish-every", &value)) {
-      publish_every = static_cast<uint32_t>(std::stoul(value));
-    } else if (std::strcmp(argv[i], "--adaptive-cadence") == 0) {
-      adaptive_cadence = true;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       print_stats = true;
     } else {
@@ -116,10 +105,7 @@ int main(int argc, char** argv) {
   sigaction(SIGINT, &action, nullptr);
   signal(SIGPIPE, SIG_IGN);
 
-  Connectivity::Spec spec;
-  spec.PublishEvery(publish_every);
-  if (adaptive_cadence) spec.AdaptiveCadence();
-  Connectivity index(spec);
+  Connectivity index;
   index.Stream(nodes);
 
   serve::Server server(&index, config);
@@ -135,10 +121,8 @@ int main(int argc, char** argv) {
   if (config.tcp_port != 0) {
     std::printf(" on tcp:%s:%u", config.tcp_host.c_str(), config.tcp_port);
   }
-  std::printf(" (%zu workers, queue %zu, cadence %s)\n", config.workers,
-              config.queue_capacity,
-              adaptive_cadence ? "adaptive"
-                               : std::to_string(publish_every).c_str());
+  std::printf(" (%zu workers, queue %zu)\n", config.workers,
+              config.queue_capacity);
   std::fflush(stdout);
 
   uint8_t byte;
@@ -171,10 +155,6 @@ int main(int argc, char** argv) {
     std::printf("serving counters:\n");
     std::printf("  snapshot publications   : %llu\n",
                 (unsigned long long)s.snapshot_publications);
-    std::printf("  publication skips       : %llu\n",
-                (unsigned long long)s.publication_skips);
-    std::printf("  publication cadence k   : %llu\n",
-                (unsigned long long)s.publication_cadence_k);
   }
   std::printf("connectit_server: clean shutdown\n");
   return 0;

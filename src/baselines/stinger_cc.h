@@ -9,7 +9,7 @@
 // deletions — is what ConnectIt's Table 5 comparison measures.
 //
 // This is a clean-room reimplementation of the published algorithm (we do
-// not have the original system); see DESIGN.md §4.
+// not have the original system).
 
 #ifndef CONNECTIT_BASELINES_STINGER_CC_H_
 #define CONNECTIT_BASELINES_STINGER_CC_H_

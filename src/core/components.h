@@ -5,6 +5,7 @@
 #ifndef CONNECTIT_CORE_COMPONENTS_H_
 #define CONNECTIT_CORE_COMPONENTS_H_
 
+#include <utility>
 #include <vector>
 
 #include "src/graph/builder.h"
@@ -24,11 +25,53 @@ inline NodeId CountComponents(const std::vector<NodeId>& labels) {
       [&](size_t v) { return labels[v] == static_cast<NodeId>(v); }));
 }
 
+// Counts labels within one block of a labeling and reports the totals
+// through add(label, count). A small direct-mapped cache combines repeats,
+// so a label covering most of the block costs a few adds, not one per
+// vertex: no vertex does an atomic on a shared hot counter. Call Flush()
+// at the end of the block.
+template <typename Add>
+class LabelRunCounter {
+ public:
+  explicit LabelRunCounter(Add add) : add_(std::move(add)) {}
+
+  void Count(NodeId label) {
+    Slot& slot = slots_[label % kSlots];
+    if (slot.count != 0 && slot.label == label) {
+      ++slot.count;
+      return;
+    }
+    if (slot.count != 0) add_(slot.label, slot.count);
+    slot = {label, 1};
+  }
+
+  void Flush() {
+    for (Slot& slot : slots_) {
+      if (slot.count != 0) add_(slot.label, slot.count);
+      slot.count = 0;
+    }
+  }
+
+ private:
+  static constexpr NodeId kSlots = 64;
+  struct Slot {
+    NodeId label = 0;
+    NodeId count = 0;
+  };
+  Slot slots_[kSlots];
+  Add add_;
+};
+
 // Size of each component, indexed by its label (0 for non-labels).
 inline std::vector<NodeId> ComponentSizes(const std::vector<NodeId>& labels) {
   std::vector<NodeId> sizes(labels.size(), 0);
-  ParallelFor(0, labels.size(),
-              [&](size_t v) { FetchAdd<NodeId>(&sizes[labels[v]], 1); });
+  ParallelForBlocked(0, labels.size(), [&](size_t lo, size_t hi) {
+    LabelRunCounter counter([&](NodeId label, NodeId count) {
+      FetchAdd<NodeId>(&sizes[label], count);
+    });
+    for (size_t v = lo; v < hi; ++v) counter.Count(labels[v]);
+    counter.Flush();
+  });
   return sizes;
 }
 

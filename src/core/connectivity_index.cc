@@ -2,30 +2,118 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <mutex>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "src/core/components.h"
 #include "src/core/dynamic_forest.h"
+#include "src/core/sparse_union.h"
 #include "src/graph/builder.h"
+#include "src/parallel/atomics.h"
 #include "src/parallel/epoch.h"
 #include "src/parallel/thread_pool.h"
 
 namespace connectit {
 
+namespace internal {
+
+void ThrowNodeOutOfRange(NodeId v, NodeId num_nodes) {
+  throw std::out_of_range("vertex " + std::to_string(v) +
+                          " out of range for " + std::to_string(num_nodes) +
+                          " nodes");
+}
+
+// A page is held by every snapshot from its birth version up to the
+// version that replaced it. Once replaced (retired) it is freed as soon as
+// no live snapshot has a version in that range, so page tables copy as
+// plain pointers, with no per-page reference count. Shared by the index
+// and each of its snapshots: whichever goes last frees the rest.
+class PageStore {
+ public:
+  // Never replaced: the pages of a snapshot that nothing will succeed.
+  static constexpr uint64_t kNeverReplaced = ~uint64_t{0};
+
+  PageStore() = default;
+  PageStore(const PageStore&) = delete;
+  PageStore& operator=(const PageStore&) = delete;
+  ~PageStore() {
+    for (const Retired& r : retired_) delete r.page;
+  }
+
+  // Registers a live snapshot version.
+  void Pin(uint64_t version) {
+    std::lock_guard<std::mutex> lock(mu_);
+    live_.insert(version);
+  }
+
+  // Hands over pages that snapshots from version `death` on no longer hold.
+  // The caller still holds a snapshot that holds them.
+  void Retire(const std::vector<Page*>& pages, uint64_t death) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Page* page : pages) retired_.push_back({page, death});
+  }
+
+  // Unregisters a snapshot version and frees every retired page that no
+  // live snapshot holds any more.
+  void Unpin(uint64_t version) {
+    std::vector<Page*> dead;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      live_.erase(version);
+      const auto held = [&](const Retired& r) {
+        const auto it = live_.lower_bound(r.page->birth);
+        return it != live_.end() && *it < r.death;
+      };
+      const auto freed =
+          std::partition(retired_.begin(), retired_.end(), held);
+      for (auto it = freed; it != retired_.end(); ++it) {
+        dead.push_back(it->page);
+      }
+      retired_.erase(freed, retired_.end());
+    }
+    for (Page* page : dead) delete page;
+  }
+
+ private:
+  struct Retired {
+    Page* page;
+    uint64_t death;  // first version that no longer holds the page
+  };
+
+  std::mutex mu_;
+  std::set<uint64_t> live_;
+  std::vector<Retired> retired_;
+};
+
+SnapshotData::~SnapshotData() {
+  if (store != nullptr) store->Unpin(version);
+}
+
+}  // namespace internal
+
 namespace {
+
+using internal::kPageBits;
+using internal::kPageMask;
+using internal::kPageSize;
+using internal::Page;
+using internal::PageStore;
+using internal::SnapshotData;
 
 [[noreturn]] void DieF(const char* message) {
   std::fprintf(stderr, "fatal: %s\n", message);
   std::abort();
 }
 
-void DeleteSnapshotData(void* p) {
-  delete static_cast<internal::SnapshotData*>(p);
-}
+void DeleteSnapshotData(void* p) { delete static_cast<SnapshotData*>(p); }
 
 uint64_t SteadyNowUs() {
   return static_cast<uint64_t>(
@@ -34,15 +122,123 @@ uint64_t SteadyNowUs() {
           .count());
 }
 
-// Precomputes everything the read surface serves (count, sizes) so every
-// query against the published block is plain array indexing.
-internal::SnapshotData* MakeSnapshotData(std::vector<NodeId> labels) {
-  auto* data = new internal::SnapshotData();
-  data->num_components = CountComponents(labels);
-  data->sizes = ComponentSizes(labels);
-  data->labels = std::move(labels);
+// A snapshot of `version` whose pages `store` frees.
+SnapshotData* NewSnapshotData(std::shared_ptr<PageStore> store,
+                              uint64_t version) {
+  auto* data = new SnapshotData();
+  store->Pin(version);
+  data->store = std::move(store);
+  data->version = version;
   return data;
 }
+
+// Retires every page of `data` as of version `death`.
+void RetirePages(const SnapshotData& data, uint64_t death) {
+  data.store->Retire(data.labels, death);
+  data.store->Retire(data.sizes, death);
+}
+
+// The full publication: one sweep over a fully compressed labeling copies
+// it into fresh label pages, counts every component's size into fresh size
+// pages, and counts the components.
+SnapshotData* MakeSnapshotData(const std::vector<NodeId>& labels,
+                               std::shared_ptr<PageStore> store,
+                               uint64_t version) {
+  SnapshotData* data = NewSnapshotData(std::move(store), version);
+  const NodeId n = static_cast<NodeId>(labels.size());
+  const size_t pages = (static_cast<size_t>(n) + kPageSize - 1) >> kPageBits;
+  data->num_nodes = n;
+  data->labels.resize(pages);
+  data->sizes.resize(pages);
+  // Allocated on this thread, not the pool's: freed pages then return to
+  // the allocator arena the mutator's own later allocations draw from.
+  for (size_t p = 0; p < pages; ++p) {
+    data->labels[p] = new Page{version, {}};
+    data->sizes[p] = new Page{version, {}};
+  }
+  std::atomic<NodeId> components{0};
+  ParallelForBlocked(0, pages, [&](size_t lo, size_t hi) {
+    LabelRunCounter counter([&](NodeId label, NodeId count) {
+      FetchAdd<NodeId>(&data->sizes[label >> kPageBits]->at[label & kPageMask],
+                       count);
+    });
+    NodeId roots = 0;
+    for (size_t p = lo; p < hi; ++p) {
+      NodeId* out = data->labels[p]->at;
+      const size_t begin = p << kPageBits;
+      const size_t end = std::min<size_t>(n, begin + kPageSize);
+      for (size_t v = begin; v < end; ++v) {
+        const NodeId label = labels[v];
+        out[v - begin] = label;
+        roots += label == v;
+        counter.Count(label);
+      }
+    }
+    counter.Flush();
+    components.fetch_add(roots, std::memory_order_relaxed);
+  });
+  data->num_components = components.load(std::memory_order_relaxed);
+  return data;
+}
+
+// A snapshot of `version` that shares every page of `prev`.
+std::unique_ptr<SnapshotData> ShareSnapshotData(const SnapshotData& prev,
+                                                uint64_t version) {
+  std::unique_ptr<SnapshotData> data(NewSnapshotData(prev.store, version));
+  data->num_nodes = prev.num_nodes;
+  data->num_components = prev.num_components;
+  data->labels = prev.labels;
+  data->sizes = prev.sizes;
+  return data;
+}
+
+// The first n entries of a page table as one flat array.
+std::vector<NodeId> Materialize(const std::vector<Page*>& pages, NodeId n) {
+  std::vector<NodeId> out(n);
+  ParallelFor(0, pages.size(), [&](size_t p) {
+    const size_t begin = p << kPageBits;
+    const size_t count = std::min<size_t>(kPageSize, n - begin);
+    std::memcpy(out.data() + begin, pages[p]->at, count * sizeof(NodeId));
+  });
+  return out;
+}
+
+// Every component size indexed by vertex (0 for non-representatives).
+std::vector<NodeId> MaterializeSizes(const SnapshotData& data) {
+  const std::vector<NodeId> labels = Materialize(data.labels, data.num_nodes);
+  std::vector<NodeId> sizes = Materialize(data.sizes, data.num_nodes);
+  ParallelFor(0, sizes.size(), [&](size_t v) {
+    if (labels[v] != v) sizes[v] = 0;
+  });
+  return sizes;
+}
+
+// Writes into one page table of a snapshot being built under `version`.
+// The first write to a page shared with an older snapshot replaces it by a
+// copy born in `version`, so no published page is ever written; the
+// replaced pages are retired once the batch is done.
+class PageWriter {
+ public:
+  PageWriter(std::vector<Page*>* pages, uint64_t version)
+      : pages_(*pages), version_(version) {}
+
+  void Set(NodeId i, NodeId value) {
+    Page*& page = pages_[i >> kPageBits];
+    if (page->birth != version_) {
+      replaced_.push_back(page);
+      page = new Page(*page);
+      page->birth = version_;
+    }
+    page->at[i & kPageMask] = value;
+  }
+
+  const std::vector<Page*>& replaced() const { return replaced_; }
+
+ private:
+  std::vector<Page*>& pages_;
+  const uint64_t version_;
+  std::vector<Page*> replaced_;
+};
 
 // Builds an owning handle of `target` representation from a flat CSR
 // reference. Only the kCsr target needs to copy `flat`; the other
@@ -109,7 +305,7 @@ const char* ToString(ServingMode mode) {
 Snapshot::~Snapshot() { Release(); }
 
 void Snapshot::Release() {
-  const internal::SnapshotData* data = data_;
+  const SnapshotData* data = data_;
   data_ = nullptr;
   if (data == nullptr) return;
   // Read `published` before the decrement: the instant our reference is
@@ -156,6 +352,16 @@ Snapshot& Snapshot::operator=(Snapshot&& other) noexcept {
     other.data_ = nullptr;
   }
   return *this;
+}
+
+std::vector<NodeId> Snapshot::ComponentSizes() const {
+  if (data_ == nullptr) return {};
+  return MaterializeSizes(*data_);
+}
+
+std::vector<NodeId> Snapshot::Labels() const {
+  if (data_ == nullptr) return {};
+  return Materialize(data_->labels, data_->num_nodes);
 }
 
 // ---- Connectivity::Spec ----
@@ -214,10 +420,9 @@ Connectivity::Connectivity(Spec spec)
                  spec_.algorithm().ToString().c_str());
     std::abort();
   }
-  cadence_k_ = spec_.publish_every();
   // Head is never null under snapshot serving: reads before the first
   // Build serve the empty labeling, exactly like the shared-lock path.
-  if (snapshot_serving()) PublishLocked({});
+  if (snapshot_serving()) PublishFullLocked({});
 }
 
 Connectivity::~Connectivity() { RetireSnapshot(); }
@@ -236,12 +441,8 @@ Connectivity::Connectivity(Connectivity&& other) noexcept {
   snapshot_.store(other.snapshot_.exchange(nullptr),
                   std::memory_order_release);
   publish_seq_ = other.publish_seq_;
-  cadence_k_ = other.cadence_k_;
-  batches_since_publish_ = other.batches_since_publish_;
-  last_batch_end_us_ = other.last_batch_end_us_;
-  publish_cost_ema_us_ = other.publish_cost_ema_us_;
-  batch_cost_ema_us_ = other.batch_cost_ema_us_;
-  other.batches_since_publish_ = 0;
+  pages_ = std::move(other.pages_);
+  members_ = std::move(other.members_);
   other.built_ = false;
   other.labels_stale_ = false;
   other.labels_.clear();
@@ -249,7 +450,7 @@ Connectivity::Connectivity(Connectivity&& other) noexcept {
   other.graph_ = GraphHandle();
   // The moved-from index reverts to un-built but must keep serving (its
   // spec stays usable): republish an empty labeling.
-  if (other.snapshot_serving()) other.PublishLocked({});
+  if (other.snapshot_serving()) other.PublishFullLocked({});
 }
 
 Connectivity& Connectivity::operator=(Connectivity&& other) noexcept {
@@ -268,37 +469,107 @@ Connectivity& Connectivity::operator=(Connectivity&& other) noexcept {
     snapshot_.store(other.snapshot_.exchange(nullptr),
                     std::memory_order_release);
     publish_seq_ = other.publish_seq_;
-    cadence_k_ = other.cadence_k_;
-    batches_since_publish_ = other.batches_since_publish_;
-    last_batch_end_us_ = other.last_batch_end_us_;
-    publish_cost_ema_us_ = other.publish_cost_ema_us_;
-    batch_cost_ema_us_ = other.batch_cost_ema_us_;
-    other.batches_since_publish_ = 0;
+    pages_ = std::move(other.pages_);
+    members_ = std::move(other.members_);
     other.built_ = false;
     other.labels_stale_ = false;
     other.labels_.clear();
     other.insert_journal_.clear();
     other.graph_ = GraphHandle();
-    if (other.snapshot_serving()) other.PublishLocked({});
+    if (other.snapshot_serving()) other.PublishFullLocked({});
   }
   return *this;
 }
 
-void Connectivity::PublishLocked(std::vector<NodeId> labels) {
-  internal::SnapshotData* data = MakeSnapshotData(std::move(labels));
-  data->version = ++publish_seq_;
+void Connectivity::SwapInLocked(SnapshotData* data) {
+  publish_seq_ = data->version;
   data->published = true;
-  internal::SnapshotData* old = snapshot_.exchange(data);  // seq_cst: pairs
-  // with the reader-side pin fence (see epoch.h's safety argument).
+  SnapshotData* old = snapshot_.exchange(data);  // seq_cst: pairs with the
+  // reader-side pin fence (see epoch.h's safety argument).
   stats::RecordSnapshotPublication();
   epoch::Domain& domain = epoch::Domain::Global();
   if (old != nullptr) domain.Retire(old, DeleteSnapshotData, &old->refs);
   domain.AdvanceAndReclaim();
 }
 
+void Connectivity::PublishFullLocked(const std::vector<NodeId>& labels) {
+  if (pages_ == nullptr) pages_ = std::make_shared<PageStore>();
+  const SnapshotData* prev = snapshot_.load(std::memory_order_relaxed);
+  if (prev != nullptr) RetirePages(*prev, next_version());
+  SwapInLocked(MakeSnapshotData(labels, pages_, next_version()));
+  members_.clear();
+  if (streaming_ == nullptr) return;
+  // One cycle per component: every vertex goes in right after its
+  // representative.
+  const NodeId n = static_cast<NodeId>(labels.size());
+  members_.resize(n);
+  ParallelFor(0, n, [&](size_t v) { members_[v] = static_cast<NodeId>(v); });
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeId rep = labels[v];
+    if (rep == v) continue;
+    members_[v] = members_[rep];
+    members_[rep] = v;
+  }
+}
+
+void Connectivity::PublishInsertLocked(const std::vector<Edge>& updates) {
+  const SnapshotData& prev = *snapshot_.load(std::memory_order_relaxed);
+  const uint64_t version = next_version();
+  std::unique_ptr<SnapshotData> next = ShareSnapshotData(prev, version);
+  // The pre-batch labels of every endpoint, loaded in one pass so that
+  // their cache misses overlap.
+  std::vector<std::pair<NodeId, NodeId>> ends(updates.size());
+  for (size_t i = 0; i < updates.size(); ++i) {
+    ends[i] = {prev.Label(updates[i].u), prev.Label(updates[i].v)};
+  }
+  // Group the batch's edges by those labels. The larger side of every
+  // merge keeps its label, so a relabelled vertex's component at least
+  // doubles: O(n log n) relabels over any insert sequence.
+  SparseUnion groups;
+  std::unordered_map<NodeId, NodeId> merged_size;  // group root -> size
+  const auto size_of = [&](NodeId root) {
+    const auto it = merged_size.find(root);
+    return it == merged_size.end() ? prev.Size(root) : it->second;
+  };
+  for (const auto& [a, b] : ends) {
+    if (a == b) continue;
+    NodeId size = 0;
+    const auto [winner, loser] =
+        groups.Unite(a, b, [&](NodeId root_a, NodeId root_b) {
+          const NodeId size_a = size_of(root_a);
+          const NodeId size_b = size_of(root_b);
+          size = size_a + size_b;
+          return size_a >= size_b;
+        });
+    if (loser == kInvalidNode) continue;
+    merged_size[winner] = size;
+    --next->num_components;
+  }
+  PageWriter labels(&next->labels, version);
+  PageWriter sizes(&next->sizes, version);
+  groups.ForEachMerged([&](NodeId label, NodeId root) {
+    // Relabel the merged-away component's members, then splice its member
+    // list into the root's. Its stale size entry stays: no longer a
+    // representative, it is never read.
+    NodeId v = label;
+    do {
+      labels.Set(v, root);
+      v = members_[v];
+    } while (v != label);
+    std::swap(members_[label], members_[root]);
+  });
+  for (const auto& [root, size] : merged_size) {
+    if (groups.Find(root) == root) sizes.Set(root, size);
+  }
+  pages_->Retire(labels.replaced(), version);
+  pages_->Retire(sizes.replaced(), version);
+  SwapInLocked(next.release());
+}
+
 void Connectivity::RetireSnapshot() {
-  internal::SnapshotData* old = snapshot_.exchange(nullptr);
+  SnapshotData* old = snapshot_.exchange(nullptr);
   if (old == nullptr) return;
+  RetirePages(*old, PageStore::kNeverReplaced);
   epoch::Domain& domain = epoch::Domain::Global();
   domain.Retire(old, DeleteSnapshotData, &old->refs);
   domain.AdvanceAndReclaim();
@@ -320,7 +591,7 @@ Connectivity& Connectivity::Build(const GraphHandle& graph) {
   streaming_.reset();
   forest_.reset();
   insert_journal_.clear();
-  if (snapshot_serving()) PublishLocked(labels_);
+  if (snapshot_serving()) PublishFullLocked(labels_);
   return *this;
 }
 
@@ -347,7 +618,7 @@ Connectivity& Connectivity::Stream() {
   labels_stale_ = true;
   // Publish the adopted (min-root normalized) labeling so snapshot reads
   // switch to the streaming structure's representative choice at once.
-  if (snapshot_serving()) PublishLocked(streaming_->Labels());
+  if (snapshot_serving()) PublishFullLocked(streaming_->Labels());
   return *this;
 }
 
@@ -363,7 +634,7 @@ Connectivity& Connectivity::Stream(NodeId num_nodes) {
   built_ = false;  // no static graph behind this state
   forest_.reset();
   insert_journal_.clear();
-  if (snapshot_serving()) PublishLocked(streaming_->Labels());
+  if (snapshot_serving()) PublishFullLocked(streaming_->Labels());
   return *this;
 }
 
@@ -378,9 +649,7 @@ std::vector<uint8_t> Connectivity::Insert(const std::vector<Edge>& updates,
   if (streaming_ == nullptr) {
     DieF("Connectivity::Insert requires Stream() first");
   }
-  const uint64_t process_start_us = SteadyNowUs();
   std::vector<uint8_t> results = streaming_->ProcessBatch(updates, queries);
-  const uint64_t process_us = SteadyNowUs() - process_start_us;
   // Keep the deletion layer in step: an armed forest absorbs the batch
   // directly; before the first Erase the journal records it for the
   // arming replay (see ArmForestLocked).
@@ -391,10 +660,10 @@ std::vector<uint8_t> Connectivity::Insert(const std::vector<Edge>& updates,
                            updates.end());
   }
   if (snapshot_serving()) {
-    // Publish the post-batch labeling (Θ(n) on the mutator so every read
-    // stays O(1) and wait-free; readers switch labelings at the pointer
-    // swap — never mid-batch), or hold it back under a cadence k > 1.
-    MaybePublishBatchLocked(process_us);
+    // Readers switch labelings at the pointer swap — never mid-batch.
+    const uint64_t publish_start_us = SteadyNowUs();
+    PublishInsertLocked(updates);
+    stats::RecordPublicationCost(SteadyNowUs() - publish_start_us);
   }
   // Mutator-side staging refreshes lazily (shared-lock reads, re-Stream).
   labels_stale_ = true;
@@ -430,75 +699,31 @@ std::vector<uint8_t> Connectivity::Erase(const std::vector<Edge>& updates,
   stats::RecordEraseBatch(batch.erased, batch.misses, batch.forest_hits,
                           batch.replacement_searches,
                           batch.components_split);
+  const std::vector<NodeId>& labels = forest_->Labels();
   if (batch.labels_changed) {
     // A component actually split: the insertion-only streaming structure
     // cannot represent that, so reseed it from the forest's canonical
     // labeling (the same FromLabels seam Stream() uses). Deletions whose
-    // replacement search succeeded change no labels and skip this.
-    streaming_ =
-        variant_->make_streaming(StreamingSeed::FromLabels(forest_->Labels()));
+    // replacement searches all succeeded change no labels and skip this.
+    streaming_ = variant_->make_streaming(StreamingSeed::FromLabels(labels));
   }
   std::vector<uint8_t> results(queries.size());
-  const std::vector<NodeId>& labels = forest_->Labels();
   ParallelFor(0, queries.size(), [&](size_t i) {
     results[i] = labels[queries[i].u] == labels[queries[i].v] ? 1 : 0;
   });
   if (snapshot_serving()) {
-    // Same discipline as Insert, but never held back by the cadence: a
-    // deletion's effect (and any batches the cadence was holding) is
-    // published before Erase returns, so no reader ever sees a
-    // half-applied batch.
-    PublishLocked(streaming_->Labels());
-    batches_since_publish_ = 0;
+    // Published before Erase returns, like Insert: a split rebuilds the
+    // partition; otherwise the same pages go out under a new version.
+    if (batch.labels_changed) {
+      PublishFullLocked(labels);
+    } else {
+      SwapInLocked(ShareSnapshotData(*snapshot_.load(std::memory_order_relaxed),
+                                     next_version())
+                       .release());
+    }
   }
   labels_stale_ = true;
   return results;
-}
-
-void Connectivity::MaybePublishBatchLocked(uint64_t batch_cost_us) {
-  const uint64_t now_us = SteadyNowUs();
-  const bool quiet = last_batch_end_us_ != 0 &&
-                     now_us - last_batch_end_us_ > kCadenceQuietGapUs;
-  last_batch_end_us_ = now_us;
-  ++batches_since_publish_;
-  constexpr double kAlpha = 0.2;  // EMA smoothing for both cost estimates
-  batch_cost_ema_us_ =
-      batch_cost_ema_us_ == 0
-          ? static_cast<double>(batch_cost_us)
-          : (1 - kAlpha) * batch_cost_ema_us_ + kAlpha * batch_cost_us;
-  if (batches_since_publish_ < cadence_k_ && !quiet) {
-    stats::RecordPublicationSkip();
-    return;
-  }
-  const uint64_t publish_start_us = SteadyNowUs();
-  PublishLocked(streaming_->Labels());
-  const uint64_t publish_us = SteadyNowUs() - publish_start_us;
-  batches_since_publish_ = 0;
-  publish_cost_ema_us_ =
-      publish_cost_ema_us_ == 0
-          ? static_cast<double>(publish_us)
-          : (1 - kAlpha) * publish_cost_ema_us_ + kAlpha * publish_us;
-  if (spec_.adaptive_cadence()) {
-    // Choose k so the amortized Θ(n) publication cost stays at most ~25%
-    // of the measured per-batch processing work.
-    const double budget_us = 0.25 * std::max(batch_cost_ema_us_, 1.0);
-    const double k = std::ceil(publish_cost_ema_us_ / budget_us);
-    cadence_k_ = static_cast<uint32_t>(std::clamp(
-        k, 1.0, static_cast<double>(kMaxAdaptiveCadence)));
-  } else {
-    cadence_k_ = spec_.publish_every();
-  }
-  stats::RecordPublicationCost(publish_us, cadence_k_);
-}
-
-void Connectivity::Flush() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  if (!snapshot_serving() || streaming_ == nullptr ||
-      batches_since_publish_ == 0) {
-    return;
-  }
-  PublishLocked(streaming_->Labels());
-  batches_since_publish_ = 0;
 }
 
 SpanningForestResult Connectivity::SpanningForest() const {
@@ -514,7 +739,7 @@ SpanningForestResult Connectivity::SpanningForest() const {
 NodeId Connectivity::Component(NodeId v) const {
   if (snapshot_serving()) {
     epoch::Domain::Guard guard;
-    return snapshot_.load(std::memory_order_acquire)->labels.at(v);
+    return snapshot_.load(std::memory_order_acquire)->Label(v);
   }
   return ReadLabels(
       [v](const std::vector<NodeId>& labels) { return labels.at(v); });
@@ -523,9 +748,8 @@ NodeId Connectivity::Component(NodeId v) const {
 bool Connectivity::SameComponent(NodeId u, NodeId v) const {
   if (snapshot_serving()) {
     epoch::Domain::Guard guard;
-    const internal::SnapshotData* data =
-        snapshot_.load(std::memory_order_acquire);
-    return data->labels.at(u) == data->labels.at(v);
+    const SnapshotData* data = snapshot_.load(std::memory_order_acquire);
+    return data->Label(u) == data->Label(v);
   }
   return ReadLabels([u, v](const std::vector<NodeId>& labels) {
     return labels.at(u) == labels.at(v);
@@ -544,7 +768,7 @@ NodeId Connectivity::NumComponents() const {
 std::vector<NodeId> Connectivity::ComponentSizes() const {
   if (snapshot_serving()) {
     epoch::Domain::Guard guard;
-    return snapshot_.load(std::memory_order_acquire)->sizes;
+    return MaterializeSizes(*snapshot_.load(std::memory_order_acquire));
   }
   return ReadLabels([](const std::vector<NodeId>& labels) {
     return connectit::ComponentSizes(labels);
@@ -554,7 +778,8 @@ std::vector<NodeId> Connectivity::ComponentSizes() const {
 std::vector<NodeId> Connectivity::Labels() const {
   if (snapshot_serving()) {
     epoch::Domain::Guard guard;
-    return snapshot_.load(std::memory_order_acquire)->labels;
+    const SnapshotData* data = snapshot_.load(std::memory_order_acquire);
+    return Materialize(data->labels, data->num_nodes);
   }
   return ReadLabels([](const std::vector<NodeId>& labels) { return labels; });
 }
@@ -562,8 +787,7 @@ std::vector<NodeId> Connectivity::Labels() const {
 Snapshot Connectivity::Acquire() const {
   if (snapshot_serving()) {
     epoch::Domain::Guard guard;
-    const internal::SnapshotData* data =
-        snapshot_.load(std::memory_order_acquire);
+    const SnapshotData* data = snapshot_.load(std::memory_order_acquire);
     // The guard keeps the block alive across this increment even if a
     // concurrent publication just retired it; afterwards the reference
     // does.
@@ -573,7 +797,9 @@ Snapshot Connectivity::Acquire() const {
   // Baseline mode has no published block: materialize a one-off,
   // unpublished snapshot under the lock (Θ(n)).
   return ReadLabels([](const std::vector<NodeId>& labels) {
-    internal::SnapshotData* data = MakeSnapshotData(labels);
+    SnapshotData* data =
+        MakeSnapshotData(labels, std::make_shared<PageStore>(), /*version=*/0);
+    RetirePages(*data, PageStore::kNeverReplaced);
     data->refs.store(1, std::memory_order_relaxed);
     return Snapshot(data);
   });
@@ -582,8 +808,7 @@ Snapshot Connectivity::Acquire() const {
 NodeId Connectivity::num_nodes() const {
   if (snapshot_serving()) {
     epoch::Domain::Guard guard;
-    return static_cast<NodeId>(
-        snapshot_.load(std::memory_order_acquire)->labels.size());
+    return snapshot_.load(std::memory_order_acquire)->num_nodes;
   }
   return ReadLabels([](const std::vector<NodeId>& labels) {
     return static_cast<NodeId>(labels.size());

@@ -27,28 +27,33 @@
 // the pass); Insert applies §3.5 batches.
 //
 // Serving model (ServingMode::kSnapshot, the default): every mutation
-// (Build, Stream, Insert) finishes by *publishing* an immutable, fully
-// path-compressed Snapshot of the labeling through one atomic pointer
+// (Build, Stream, Insert, Erase) finishes by *publishing* an immutable,
+// fully path-compressed Snapshot of the labeling through one atomic pointer
 // swap. Reads (Component, SameComponent, NumComponents, ComponentSizes,
 // Labels) dereference the published pointer inside an epoch guard
-// (src/parallel/epoch.h) and answer by plain array indexing — wait-free,
-// no lock, no parent-chasing, scaling to all cores while an ingest thread
+// (src/parallel/epoch.h) and answer by a page-table lookup — wait-free, no
+// lock, no parent-chasing, scaling to all cores while an ingest thread
 // applies batches. A reader can never observe a half-applied batch: the
 // pointer swaps only between complete labelings. Replaced snapshots are
 // retired into the epoch domain and freed once no reader can hold them
-// (and, for Acquire'd snapshots, once every handle is released). The
-// wait-free AtomicLoad find discipline of §3.5 thereby extends to the
-// serving layer. The cost sits on the mutator: each Insert pays Θ(n) to
-// materialize the compressed labeling it publishes.
+// (and, for Acquire'd snapshots, once every handle is released).
 //
-// ServingMode::kSharedLock keeps the previous design as an A/B baseline
-// (bench_serving measures both): readers share a lock against exclusive
-// mutators, and the served labeling is refreshed lazily — an Insert only
-// marks it stale, and the first read afterwards pays the Θ(n) refresh once
-// (the stale flag is re-checked under the exclusive lock, so racing
-// readers cannot duplicate the refresh; stats::ReadServing().
-// label_refreshes counts them). A pure ingest loop therefore never pays
-// the snapshot cost per batch, at the price of lock-limited reads.
+// A snapshot is a table of fixed-size label and size pages. Insert
+// publishes in time set by the batch, not by n: it groups the
+// batch's edges by their pre-batch labels, relabels only the smaller side
+// of each merge (walking that component's member list) into copy-on-write
+// pages, and shares every other page with the previous snapshot.
+// Small-to-large bounds the relabelling over any insert sequence at
+// O(n log n). Build, Stream and an Erase that splits a component rebuild
+// the partition and publish it in one Θ(n) pass.
+//
+// ServingMode::kSharedLock keeps the pre-snapshot design as an A/B
+// baseline (bench_serving measures both): readers share a lock against
+// exclusive mutators, and the served labeling is refreshed lazily — an
+// Insert only marks it stale, and the first read afterwards pays the Θ(n)
+// refresh once (the stale flag is re-checked under the exclusive lock, so
+// racing readers cannot duplicate the refresh; stats::ReadServing().
+// label_refreshes counts them).
 //
 // Spec is a builder: algorithm (typed descriptor or registry-name string),
 // sampling scheme, target representation, shard count, serving mode.
@@ -84,16 +89,50 @@ const char* ToString(ServingMode mode);
 
 namespace internal {
 
-// One published labeling: immutable after construction (refs aside), so
-// any number of readers index it without synchronization.
+// Entries per snapshot page: 4 KiB of labels.
+inline constexpr NodeId kPageBits = 10;
+inline constexpr NodeId kPageSize = NodeId{1} << kPageBits;
+inline constexpr NodeId kPageMask = kPageSize - 1;
+
+// One page of a snapshot array. Consecutive snapshots share the pages a
+// batch did not change; a published page is never written again.
+struct Page {
+  uint64_t birth;  // version of the first snapshot that holds this page
+  NodeId at[kPageSize];
+};
+
+// Frees the pages of one index's snapshots (connectivity_index.cc).
+class PageStore;
+
+[[noreturn]] void ThrowNodeOutOfRange(NodeId v, NodeId num_nodes);
+
+// One published labeling: immutable after publication (refs aside), so any
+// number of readers index it without synchronization.
 struct SnapshotData {
-  std::vector<NodeId> labels;  // fully path-compressed: labels[labels[v]]
-                               // == labels[v] for every v
-  std::vector<NodeId> sizes;   // component size by representative label
+  ~SnapshotData();  // lets `store` free the pages no snapshot holds now
+
+  NodeId num_nodes = 0;
   NodeId num_components = 0;
+  // Label of each vertex, fully path-compressed: Label(Label(v)) ==
+  // Label(v) for every v.
+  std::vector<Page*> labels;
+  // Component size by representative label. Entries of vertices that
+  // represent no component are stale and never read: an Insert skips the
+  // write for a representative it merges away.
+  std::vector<Page*> sizes;
+  std::shared_ptr<PageStore> store;  // owns the pages
   uint64_t version = 0;   // publication sequence number of this index
   bool published = false;  // true = lifetime managed by the epoch domain
   mutable std::atomic<uint64_t> refs{0};  // outstanding Snapshot handles
+
+  NodeId Label(NodeId v) const {
+    if (v >= num_nodes) ThrowNodeOutOfRange(v, num_nodes);
+    return labels[v >> kPageBits]->at[v & kPageMask];
+  }
+  // The size entry of `rep`; meaningful only if Label(rep) == rep.
+  NodeId Size(NodeId rep) const {
+    return sizes[rep >> kPageBits]->at[rep & kPageMask];
+  }
 };
 
 }  // namespace internal
@@ -103,7 +142,8 @@ struct SnapshotData {
 // are mutually consistent no matter how many batches land concurrently.
 // Cheap to copy (one atomic increment); holding one defers reclamation of
 // exactly its own block, never the epoch machinery. A default-constructed
-// Snapshot is empty (valid() == false, zero nodes).
+// Snapshot is empty (valid() == false, zero nodes). Out-of-range vertices
+// throw std::out_of_range.
 class Snapshot {
  public:
   Snapshot() = default;
@@ -116,18 +156,24 @@ class Snapshot {
   bool valid() const { return data_ != nullptr; }
 
   NodeId num_nodes() const {
-    return data_ == nullptr ? 0 : static_cast<NodeId>(data_->labels.size());
+    return data_ == nullptr ? 0 : data_->num_nodes;
   }
-  NodeId Component(NodeId v) const { return data_->labels.at(v); }
+  NodeId Component(NodeId v) const { return data_->Label(v); }
   bool SameComponent(NodeId u, NodeId v) const {
-    return data_->labels.at(u) == data_->labels.at(v);
+    return data_->Label(u) == data_->Label(v);
   }
   NodeId NumComponents() const {
     return data_ == nullptr ? 0 : data_->num_components;
   }
-  // Size of each component, indexed by representative (0 elsewhere).
-  const std::vector<NodeId>& ComponentSizes() const { return data_->sizes; }
-  const std::vector<NodeId>& Labels() const { return data_->labels; }
+  // Size of the component whose representative is `rep` (0 if rep
+  // represents none).
+  NodeId ComponentSize(NodeId rep) const {
+    return data_->Label(rep) == rep ? data_->Size(rep) : 0;
+  }
+  // Materialized copies (Θ(n)): every ComponentSize indexed by vertex, and
+  // every Component.
+  std::vector<NodeId> ComponentSizes() const;
+  std::vector<NodeId> Labels() const;
 
   // Publication sequence number: strictly increasing per Connectivity
   // publication, 0 for on-demand (kSharedLock-mode) snapshots.
@@ -191,37 +237,10 @@ class Connectivity {
     }
 
     // Read-path discipline; see the header comment. kSnapshot (default):
-    // wait-free epoch-published snapshots, mutators pay Θ(n) per batch.
-    // kSharedLock: the lock-based baseline with lazy refresh.
+    // wait-free epoch-published snapshots. kSharedLock: the lock-based
+    // baseline with lazy refresh.
     Spec& Serving(ServingMode mode) {
       serving_ = mode;
-      return *this;
-    }
-
-    // Snapshot-publication cadence under kSnapshot serving. k = 1 (the
-    // default) publishes the Θ(n) snapshot after every Insert batch — the
-    // behavior every parity test pins. k > 1 publishes after every k-th
-    // batch: reads keep serving the labeling as of the last published
-    // batch *boundary* (never a half-applied batch), skipped publications
-    // tick stats::ReadServing().publication_skips, and Flush() or the
-    // next Erase forces the held-back state out. The write-heavy-ingest
-    // knob: at high batch rates the per-batch Θ(n) copy dominates, and
-    // most published snapshots are replaced before any reader pins them.
-    Spec& PublishEvery(uint32_t k) {
-      publish_every_ = k == 0 ? 1 : k;
-      return *this;
-    }
-
-    // Measure instead of guessing k: after every publication the index
-    // re-derives the cadence from EMAs of publication cost vs. batch
-    // processing cost, so publication overhead stays a bounded fraction
-    // of ingest work (k clamped to [1, kMaxAdaptiveCadence]). A quiet
-    // stream still publishes promptly: any batch arriving later than
-    // kCadenceQuietGapUs after the previous one publishes immediately.
-    // Overrides PublishEvery; stats::ReadServing().publication_cadence_k
-    // reports the current choice.
-    Spec& AdaptiveCadence(bool adaptive = true) {
-      adaptive_cadence_ = adaptive;
       return *this;
     }
 
@@ -232,8 +251,6 @@ class Connectivity {
     }
     size_t shards() const { return shards_; }
     ServingMode serving() const { return serving_; }
-    uint32_t publish_every() const { return publish_every_; }
-    bool adaptive_cadence() const { return adaptive_cadence_; }
 
    private:
     VariantDescriptor algorithm_;
@@ -241,15 +258,7 @@ class Connectivity {
     std::optional<GraphRepresentation> representation_;
     size_t shards_ = 0;
     ServingMode serving_ = ServingMode::kSnapshot;
-    uint32_t publish_every_ = 1;
-    bool adaptive_cadence_ = false;
   };
-
-  // Adaptive cadence never holds back more than this many batches.
-  static constexpr uint32_t kMaxAdaptiveCadence = 64;
-  // A batch arriving after a gap longer than this publishes immediately
-  // (the stream is quiet; holding back buys nothing).
-  static constexpr uint64_t kCadenceQuietGapUs = 50'000;
 
   // Resolves the Spec's descriptor against the registry; dies if the
   // descriptor denotes an unregistered combination (impossible for
@@ -301,7 +310,8 @@ class Connectivity {
   // connectivity queries (one byte per query: 1 = connected after this
   // batch). Batches serialize against each other; under kSnapshot serving
   // the post-batch labeling is published before Insert returns, so every
-  // subsequent read sees it.
+  // subsequent read sees it. The publication costs time in the batch, not
+  // in n (see the header comment).
   std::vector<uint8_t> Insert(const std::vector<Edge>& updates,
                               const std::vector<Edge>& queries = {});
 
@@ -313,21 +323,18 @@ class Connectivity {
   // armed lazily on the first Erase: the variant's own run_forest pass
   // seeds the forest from the built graph, and every edge inserted since
   // Stream() is replayed from a journal the façade keeps. A deleted
-  // non-forest edge is free; a deleted forest edge triggers a parallel
-  // replacement-edge search over the affected component
-  // (src/algo/replacement.h). Only when a component actually splits is
+  // non-forest edge is free; a deleted forest edge triggers a
+  // replacement-edge search over the smaller of the two trees it leaves,
+  // so an Erase costs the sides it cuts, not n. Only when a component
+  // actually splits is
   // the insertion-only streaming structure reseeded
-  // (StreamingSeed::FromLabels) — a deletion with a surviving replacement
-  // changes no labels and no query answer. Erase publishes a fresh
-  // Snapshot under kSnapshot serving, exactly like Insert, and ticks the
-  // erase counters in stats::ReadServing().
+  // (StreamingSeed::FromLabels) and the labeling republished in full — a
+  // deletion with a surviving replacement changes no labels and no query
+  // answer, and republishes the same pages under a new version. Erase
+  // publishes exactly once under kSnapshot serving, like Insert, and ticks
+  // the erase counters in stats::ReadServing().
   std::vector<uint8_t> Erase(const std::vector<Edge>& updates,
                              const std::vector<Edge>& queries = {});
-
-  // Publishes any batches a cadence k > 1 is still holding back, so
-  // Acquire() reflects every batch Insert/Erase has returned for. No-op
-  // at k = 1, under kSharedLock serving, or when nothing is pending.
-  void Flush();
 
   // Spanning forest of the built graph via the variant's run_forest (paper
   // Algorithm 2). Requires Build and a root-based variant (dies
@@ -335,7 +342,7 @@ class Connectivity {
   SpanningForestResult SpanningForest() const;
 
   // ---- thread-safe reads against the current labeling ----
-  // kSnapshot: wait-free (epoch guard + array indexing, no lock).
+  // kSnapshot: wait-free (epoch guard + page-table lookup, no lock).
   // kSharedLock: shared lock, lazy Θ(n) refresh after a batch.
 
   // The component representative of v (vertices in the same component
@@ -367,19 +374,25 @@ class Connectivity {
   // exclusively.
   void ArmForestLocked();
 
-  // Builds a SnapshotData (sizes + component count precomputed) from a
-  // fully compressed labeling and swaps it in as the published snapshot;
-  // retires the previous one. Callers hold mu_ exclusively.
-  void PublishLocked(std::vector<NodeId> labels);
-
-  // Unpublishes and retires the current snapshot (destructor, move-out).
-  void RetireSnapshot();
-
-  // Insert's publish step: publishes the post-batch labeling or, under a
-  // cadence k > 1, holds it back (ticking publication_skips). Updates the
-  // cost EMAs and, under AdaptiveCadence, re-derives k. Callers hold mu_
+  // Full publication: one Θ(n) pass copies a fully compressed labeling
+  // into fresh pages and recounts sizes and components. While streaming it
+  // also rebuilds the member lists Insert relabels from. Callers hold mu_
   // exclusively.
-  void MaybePublishBatchLocked(uint64_t batch_cost_us);
+  void PublishFullLocked(const std::vector<NodeId>& labels);
+
+  // Insert's publication: merges the components the batch connects,
+  // relabelling the smaller side of each merge into copy-on-write pages.
+  // Callers hold mu_ exclusively.
+  void PublishInsertLocked(const std::vector<Edge>& updates);
+
+  // Publishes `data`, built under version next_version(), and retires the
+  // previous snapshot. Callers hold mu_ exclusively.
+  void SwapInLocked(internal::SnapshotData* data);
+  uint64_t next_version() const { return publish_seq_ + 1; }
+
+  // Unpublishes and retires the current snapshot and, with it, every
+  // current page (destructor, move-out).
+  void RetireSnapshot();
 
   bool snapshot_serving() const {
     return spec_.serving() == ServingMode::kSnapshot;
@@ -437,14 +450,13 @@ class Connectivity {
   // kSharedLock. Swapped only under mu_; loaded lock-free by readers.
   std::atomic<internal::SnapshotData*> snapshot_{nullptr};
   uint64_t publish_seq_ = 0;
-
-  // Publication-cadence state (kSnapshot serving; see Spec::PublishEvery
-  // and Spec::AdaptiveCadence). All mutated under mu_ exclusively.
-  uint32_t cadence_k_ = 1;              // current effective k
-  uint32_t batches_since_publish_ = 0;  // held-back batches
-  uint64_t last_batch_end_us_ = 0;      // quiet-stream detection
-  double publish_cost_ema_us_ = 0;      // EMA: one PublishLocked
-  double batch_cost_ema_us_ = 0;        // EMA: one ProcessBatch
+  // Frees the pages of snapshot_ and of every snapshot it replaced.
+  std::shared_ptr<internal::PageStore> pages_;
+  // kSnapshot serving while streaming: one circular member list per
+  // component of the published labeling (members_[v] is the next vertex of
+  // v's component), so Insert walks exactly the components it relabels.
+  // Empty when not streaming.
+  std::vector<NodeId> members_;
 };
 
 }  // namespace connectit

@@ -1,11 +1,9 @@
 #include "src/core/dynamic_forest.h"
 
 #include <algorithm>
+#include <functional>
 #include <type_traits>
-#include <unordered_map>
-#include <utility>
 
-#include "src/algo/replacement.h"
 #include "src/algo/verify.h"
 #include "src/parallel/thread_pool.h"
 
@@ -38,22 +36,20 @@ void DynamicForest::AdoptGraph(const GraphHandle& graph,
       });
       for (NodeId u = 0; u < n; ++u) {
         for (const NodeId v : adj_[u]) {
-          if (u < v) edges_.insert(Key(u, v));
+          if (u < v) edges_.Insert(Key(u, v));
         }
-        num_arcs_ += static_cast<EdgeId>(adj_[u].size());
       }
     }
   });
-  for (const Edge& e : forest.edges) forest_.insert(Key(e.u, e.v));
+  for (const Edge& e : forest.edges) forest_.Insert(Key(e.u, e.v));
   labels_ = CanonicalizeLabels(forest.labels);
 }
 
 bool DynamicForest::AddEdge(NodeId u, NodeId v) {
   if (u == v) return false;
-  if (!edges_.insert(Key(u, v)).second) return false;
+  if (!edges_.Insert(Key(u, v))) return false;
   adj_[u].push_back(v);
   adj_[v].push_back(u);
-  num_arcs_ += 2;
   return true;
 }
 
@@ -69,91 +65,122 @@ void DynamicForest::RemoveArc(NodeId u, NodeId v) {
 }
 
 void DynamicForest::InsertBatch(const std::vector<Edge>& updates) {
-  // Union the touched components over their canonical labels. The sparse
-  // parent map keeps the no-merge case O(batch): labels_ roots are
-  // component minima, and every union links the larger root under the
-  // smaller, so the labeling stays canonical.
-  std::unordered_map<NodeId, NodeId> parent;
-  const auto find = [&](NodeId vertex) {
-    NodeId x = labels_[vertex];
-    while (true) {
-      const auto it = parent.find(x);
-      if (it == parent.end() || it->second == x) return x;
-      x = it->second;
-    }
-  };
-  bool merged = false;
+  // Union the touched components over their canonical labels. labels_
+  // roots are component minima and the smaller root always survives, so
+  // the applied labeling stays canonical.
   for (const Edge& e : updates) {
     if (!AddEdge(e.u, e.v)) continue;
-    const NodeId ru = find(e.u);
-    const NodeId rv = find(e.v);
-    if (ru == rv) continue;
-    forest_.insert(Key(e.u, e.v));
-    parent[std::max(ru, rv)] = std::min(ru, rv);
-    merged = true;
+    const NodeId loser =
+        pending_.Unite(labels_[e.u], labels_[e.v], std::less<NodeId>())
+            .second;
+    if (loser != kInvalidNode) forest_.Insert(Key(e.u, e.v));
   }
-  if (!merged) return;
+}
+
+void DynamicForest::ApplyPendingMerges() {
+  if (pending_.empty()) return;
+  pending_.Flatten();
   ParallelFor(0, labels_.size(), [&](size_t v) {
-    NodeId x = labels_[v];
-    while (true) {
-      const auto it = parent.find(x);  // concurrent reads only: safe
-      if (it == parent.end() || it->second == x) break;
-      x = it->second;
-    }
-    labels_[v] = x;
+    labels_[v] = pending_.FindConst(labels_[v]);  // concurrent reads: safe
   });
+  pending_.clear();
+}
+
+const std::vector<NodeId>& DynamicForest::Labels() {
+  ApplyPendingMerges();
+  return labels_;
 }
 
 DynamicForest::EraseStats DynamicForest::EraseBatch(
     const std::vector<Edge>& updates) {
+  ApplyPendingMerges();
   EraseStats stats;
   const NodeId n = num_nodes();
-  std::unordered_set<NodeId> affected;  // old labels of components that
-                                        // lost a forest edge
+  // One deletion at a time: before each, the forest spans the current
+  // edges, so a deleted forest edge leaves exactly two trees to reconnect.
   for (const Edge& e : updates) {
     if (e.u == e.v || e.u >= n || e.v >= n) {
       ++stats.misses;
       continue;
     }
     const uint64_t key = Key(e.u, e.v);
-    if (edges_.erase(key) == 0) {
+    if (!edges_.Erase(key)) {
       ++stats.misses;
       continue;
     }
     RemoveArc(e.u, e.v);
     RemoveArc(e.v, e.u);
-    num_arcs_ -= 2;
     ++stats.erased;
-    if (forest_.erase(key) > 0) {
-      ++stats.forest_hits;
-      affected.insert(labels_[e.u]);
-    }
+    if (!forest_.Erase(key)) continue;
+    ++stats.forest_hits;
+    ++stats.replacement_searches;
+    if (!Reconnect(e.u, e.v)) ++stats.components_split;
   }
-  if (affected.empty()) return stats;
-  stats.replacement_searches = affected.size();
-
-  // The replacement search rebuilds each affected component's tree
-  // wholesale, so its surviving forest edges go first (labels_ still
-  // holds the pre-batch labeling here — the search relabels below).
-  for (auto it = forest_.begin(); it != forest_.end();) {
-    if (affected.count(labels_[KeyLo(*it)]) > 0) {
-      it = forest_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Gather the affected region in ascending vertex order (the search's
-  // min-root invariant).
-  std::vector<NodeId> region;
-  for (NodeId v = 0; v < n; ++v) {
-    if (affected.count(labels_[v]) > 0) region.push_back(v);
-  }
-  ReplacementResult found = ReplacementSearch(View(), region, labels_);
-  for (const Edge& e : found.forest_edges) forest_.insert(Key(e.u, e.v));
-
-  stats.components_split = found.pieces - stats.replacement_searches;
   stats.labels_changed = stats.components_split > 0;
   return stats;
+}
+
+DynamicForest::TreeWalk DynamicForest::StartWalk(NodeId root) {
+  TreeWalk walk;
+  walk.stamp = ++stamp_;
+  walk.stack.push_back({root, 0});
+  walk.seen.push_back(root);
+  mark_[root] = walk.stamp;
+  return walk;
+}
+
+bool DynamicForest::Step(TreeWalk& walk) {
+  while (!walk.stack.empty()) {
+    const NodeId x = walk.stack.back().first;
+    size_t& next = walk.stack.back().second;
+    if (next == adj_[x].size()) {
+      walk.stack.pop_back();
+      continue;
+    }
+    const NodeId y = adj_[x][next++];
+    if (mark_[y] != walk.stamp && forest_.Contains(Key(x, y))) {
+      mark_[y] = walk.stamp;
+      walk.seen.push_back(y);
+      walk.stack.push_back({y, 0});
+    }
+    return true;
+  }
+  return false;
+}
+
+bool DynamicForest::Reconnect(NodeId u, NodeId v) {
+  if (mark_.empty() || stamp_ > ~uint32_t{0} - 2) {
+    mark_.assign(num_nodes(), 0);
+    stamp_ = 0;
+  }
+  // Walk both trees in lockstep until one is exhausted: that one, S, is
+  // the smaller in adjacency entries, and each walk has scanned at most
+  // as many entries as S has.
+  TreeWalk walks[2] = {StartWalk(u), StartWalk(v)};
+  int small = 0;
+  while (Step(walks[small])) small = 1 - small;
+  const TreeWalk& s = walks[small];
+  // The forest spanned the component, so any edge leaving S reaches the
+  // other tree: a replacement, and no label changes.
+  for (const NodeId x : s.seen) {
+    for (const NodeId y : adj_[x]) {
+      if (mark_[y] != s.stamp) {
+        forest_.Insert(Key(x, y));
+        return true;
+      }
+    }
+  }
+  // S is a component of its own. Labels stay min-rooted: S takes its
+  // minimum, unless it holds the old label (the old minimum), in which
+  // case the other tree takes its own.
+  TreeWalk& relabel = mark_[labels_[u]] == s.stamp ? walks[1 - small]
+                                                   : walks[small];
+  while (Step(relabel)) {
+  }
+  const NodeId label =
+      *std::min_element(relabel.seen.begin(), relabel.seen.end());
+  for (const NodeId x : relabel.seen) labels_[x] = label;
+  return false;
 }
 
 }  // namespace connectit

@@ -11,11 +11,12 @@
 //   - a canonical labeling (label = minimum vertex id of the component).
 //
 // Deleting a non-forest edge is free — the forest still spans. Deleting a
-// forest edge marks the component *affected*; after the batch one
-// parallel replacement-edge search (src/algo/replacement.h) recomputes
-// the affected region's pieces, rebuilds their trees, and relabels. A
-// deletion with a surviving replacement therefore leaves the labeling
-// bit-for-bit unchanged.
+// forest edge (u, v) leaves two trees; walking both in lockstep finds the
+// smaller one, S, at a cost bounded by S's own adjacency, and any surviving
+// edge leaving S is a replacement that becomes a forest edge. Without one,
+// S splits off and only one side is relabelled. A deletion with a
+// surviving replacement therefore leaves the labeling bit-for-bit
+// unchanged, and an Erase costs the small sides it cuts, not n.
 //
 // Not thread-safe: the Connectivity façade serializes mutations under its
 // exclusive lock, exactly as it does for Insert.
@@ -24,10 +25,12 @@
 #define CONNECTIT_CORE_DYNAMIC_FOREST_H_
 
 #include <cstdint>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/core/connectit.h"
+#include "src/core/edge_key_set.h"
+#include "src/core/sparse_union.h"
 #include "src/graph/graph_handle.h"
 #include "src/graph/types.h"
 
@@ -41,11 +44,10 @@ class DynamicForest {
     uint64_t erased = 0;       // edges actually removed
     uint64_t misses = 0;       // absent edges and self-loops (no-ops)
     uint64_t forest_hits = 0;  // removed edges that were forest edges
-    // Affected components searched for replacements (one search covers
-    // every forest hit within a component).
+    // Replacement searches run (one per deleted forest edge).
     uint64_t replacement_searches = 0;
-    // Extra pieces the affected components split into (0 = every deleted
-    // forest edge had a surviving replacement).
+    // Searches that found no replacement, so a component split in two
+    // (0 = every deleted forest edge had a surviving replacement).
     uint64_t components_split = 0;
     // True iff the partition changed (components_split > 0), i.e. the
     // streaming structure must be reseeded from Labels().
@@ -65,51 +67,25 @@ class DynamicForest {
   // Applies edge insertions: new edges join the adjacency; an edge that
   // merges two components becomes a forest edge and the smaller canonical
   // label wins (labels stay min-rooted). Duplicates and self-loops are
-  // no-ops, mirroring their effect on the streaming union-find.
+  // no-ops, mirroring their effect on the streaming union-find. Costs time
+  // in the batch, not in n: merges wait in a pending map until the next
+  // Labels() or EraseBatch applies them in one sweep.
   void InsertBatch(const std::vector<Edge>& updates);
 
   // Applies edge deletions; see the header comment for the algorithm.
   EraseStats EraseBatch(const std::vector<Edge>& updates);
 
   bool HasEdge(NodeId u, NodeId v) const {
-    return u != v && edges_.count(Key(u, v)) > 0;
-  }
-  bool SameComponent(NodeId u, NodeId v) const {
-    return labels_[u] == labels_[v];
+    return u != v && edges_.Contains(Key(u, v));
   }
   // The canonical labeling (label = min vertex id of the component) —
-  // always a valid StreamingSeed::FromLabels input.
-  const std::vector<NodeId>& Labels() const { return labels_; }
+  // always a valid StreamingSeed::FromLabels input. Applies the pending
+  // merges first.
+  const std::vector<NodeId>& Labels();
 
   NodeId num_nodes() const { return static_cast<NodeId>(adj_.size()); }
   size_t num_edges() const { return edges_.size(); }
   size_t num_forest_edges() const { return forest_.size(); }
-
-  // Adjacency view satisfying the BFS GraphT concept (bfs.h), handed to
-  // the replacement search.
-  class AdjacencyView {
-   public:
-    explicit AdjacencyView(const DynamicForest* f) : f_(f) {}
-    NodeId num_nodes() const { return f_->num_nodes(); }
-    EdgeId num_arcs() const { return f_->num_arcs_; }
-    EdgeId degree(NodeId v) const {
-      return static_cast<EdgeId>(f_->adj_[v].size());
-    }
-    template <typename F>
-    void MapNeighbors(NodeId u, F&& fn) const {
-      for (const NodeId v : f_->adj_[u]) fn(v);
-    }
-    template <typename F>
-    void MapNeighborsWhile(NodeId u, F&& fn) const {
-      for (const NodeId v : f_->adj_[u]) {
-        if (!fn(v)) return;
-      }
-    }
-
-   private:
-    const DynamicForest* f_;
-  };
-  AdjacencyView View() const { return AdjacencyView(this); }
 
  private:
   // Canonical (order-independent) 64-bit key of an undirected edge.
@@ -118,17 +94,36 @@ class DynamicForest {
     const NodeId hi = u < v ? v : u;
     return (static_cast<uint64_t>(lo) << 32) | hi;
   }
-  static NodeId KeyLo(uint64_t key) { return static_cast<NodeId>(key >> 32); }
 
   // Inserts (u, v) into the adjacency; false for self-loops/duplicates.
   bool AddEdge(NodeId u, NodeId v);
   void RemoveArc(NodeId u, NodeId v);
+  // Relabels every vertex through pending_ and empties it (Θ(n) once).
+  void ApplyPendingMerges();
+
+  // A depth-first walk of one tree of the forest, one adjacency entry per
+  // Step; the vertices it reached carry its stamp in mark_.
+  struct TreeWalk {
+    uint32_t stamp = 0;
+    std::vector<std::pair<NodeId, size_t>> stack;  // vertex, next entry
+    std::vector<NodeId> seen;
+  };
+  TreeWalk StartWalk(NodeId root);
+  // Scans one adjacency entry; false once the walk's tree is exhausted.
+  bool Step(TreeWalk& walk);
+  // After the forest edge (u, v) is deleted: adds a replacement edge and
+  // returns true, or relabels the side that split off and returns false.
+  bool Reconnect(NodeId u, NodeId v);
 
   std::vector<std::vector<NodeId>> adj_;
-  std::unordered_set<uint64_t> edges_;   // every present edge, canonical key
-  std::unordered_set<uint64_t> forest_;  // the spanning subset of edges_
-  std::vector<NodeId> labels_;           // canonical min-rooted labeling
-  EdgeId num_arcs_ = 0;
+  EdgeKeySet edges_;   // every present edge, canonical key
+  EdgeKeySet forest_;  // the spanning subset of edges_
+  // Canonical min-rooted labeling once pending_ is applied: the label of v
+  // is pending_.Find(labels_[v]).
+  std::vector<NodeId> labels_;
+  SparseUnion pending_;  // merges since the last ApplyPendingMerges
+  std::vector<uint32_t> mark_;  // walk stamps, sized on the first search
+  uint32_t stamp_ = 0;
 };
 
 }  // namespace connectit

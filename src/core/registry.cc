@@ -125,7 +125,15 @@ Variant MakeUfVariant() {
   v.supports_streaming = true;
   using Finish = UnionFindFinish<kU, kF, kS, kP>;
   v.run = RunOnHandle<Finish>;
-  v.run_forest = RunForestOnHandle<Finish>;
+  // A splice moves a subtree into the other tree without linking a root,
+  // so a racing union can record a second edge between the same two trees:
+  // the paper proves splicing correct for connectivity only. The forest
+  // pass halves instead, which compresses within one tree and keeps every
+  // merge a root link.
+  constexpr SpliceOption kForestSplice =
+      kS == SpliceOption::kSplice ? SpliceOption::kHalveOne : kS;
+  v.run_forest =
+      RunForestOnHandle<UnionFindFinish<kU, kF, kForestSplice, kP>>;
   v.make_streaming =
       MakeSeededStreaming<Finish, UnionFindStreaming<kU, kF, kS, kP>>;
   return v;

@@ -1,7 +1,7 @@
 // Synthetic graph generators.
 //
-// These substitute for the paper's real-world inputs (see DESIGN.md §4):
-// RMAT and Barabási–Albert produce the skewed low-diameter regime of social
+// These substitute for the paper's real-world inputs: RMAT and
+// Barabási–Albert produce the skewed low-diameter regime of social
 // and Web graphs; 2-D grids produce the high-diameter sparse regime of road
 // networks; Erdős–Rényi produces a uniform-degree control; the component
 // mixture plants many components to exercise multi-component code paths.

@@ -113,6 +113,9 @@ void ThreadPool::RunOnWorkers(size_t num_tasks,
     fn(0);
     return;
   }
+  // One job at a time: a second outside caller waits here until the first
+  // job has drained, instead of overwriting job_ and job_pending_ under it.
+  std::lock_guard<std::mutex> outside(outside_mu_);
   {
     std::unique_lock<std::mutex> lock(mu_);
     job_ = &fn;

@@ -51,7 +51,9 @@ class ThreadPool {
   void Rebind();
 
   // Runs fn(worker_id) on `num_tasks` workers (including the caller) and
-  // waits for all of them. fn must be safe to invoke concurrently.
+  // waits for all of them. fn must be safe to invoke concurrently. Threads
+  // outside the pool may call this concurrently: their jobs run one after
+  // another.
   void RunOnWorkers(size_t num_tasks, const std::function<void(size_t)>& fn);
 
   // True when the calling thread is one of the pool's workers.
@@ -72,6 +74,7 @@ class ThreadPool {
   size_t bound_nodes_ = 1;  // topology node count captured at StartThreads
   std::vector<std::thread> threads_;
 
+  std::mutex outside_mu_;  // held by an outside caller for its whole job
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;

@@ -143,6 +143,8 @@ struct StatsProbe {
   uint64_t protocol_errors = 0;
   uint64_t queue_depth_hwm = 0;
   uint64_t snapshot_publications = 0;
+  // Retired publication-cadence slots, kept for the wire layout: servers
+  // report 0 and 1 (every batch publishes).
   uint64_t publication_skips = 0;
   uint64_t publication_cadence_k = 0;
   uint64_t num_nodes = 0;

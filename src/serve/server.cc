@@ -429,12 +429,10 @@ bool Server::DispatchFrame(size_t worker_index, Worker& worker,
         }
         max_entries = std::min(max_entries, kMaxSizesEntries);
         worker.sizes_scratch.clear();
-        if (snap.valid()) {
-          const std::vector<NodeId>& sizes = snap.ComponentSizes();
-          for (NodeId v = 0; v < n && worker.sizes_scratch.size() <
-                                          max_entries; ++v) {
-            if (sizes[v] != 0) worker.sizes_scratch.push_back({v, sizes[v]});
-          }
+        for (NodeId v = 0;
+             v < n && worker.sizes_scratch.size() < max_entries; ++v) {
+          const NodeId size = snap.ComponentSize(v);
+          if (size != 0) worker.sizes_scratch.push_back({v, size});
         }
         AppendComponentSizesResponse(id, Status::kOk, snap.NumComponents(),
                                      worker.sizes_scratch, &conn.out);
@@ -505,8 +503,9 @@ void Server::HandleStatsProbe(Connection& conn, uint64_t request_id,
   probe.protocol_errors = t.protocol_errors;
   probe.queue_depth_hwm = t.queue_depth_hwm;
   probe.snapshot_publications = s.snapshot_publications;
-  probe.publication_skips = s.publication_skips;
-  probe.publication_cadence_k = s.publication_cadence_k;
+  // The retired cadence slots (see StatsProbe).
+  probe.publication_skips = 0;
+  probe.publication_cadence_k = 1;
   probe.num_nodes = snap.num_nodes();
   probe.num_components = snap.NumComponents();
   probe.snapshot_version = snap.version();

@@ -5,7 +5,7 @@
 // first two are algorithmic and reproduced exactly; the hardware counters
 // are replaced by a deterministic software proxy counting parent-array reads
 // and writes, which are precisely the accesses the hardware counters
-// observed (see DESIGN.md §4).
+// observed.
 //
 // Counters are process-global and disabled by default; enabling them adds
 // 10-20% overhead, matching the paper's remark about its instrumentation.
@@ -98,19 +98,13 @@ struct ServingSnapshot {
   uint64_t snapshots_retired = 0;      // blocks handed to deferred reclaim
   uint64_t snapshots_reclaimed = 0;    // blocks actually freed
   uint64_t label_refreshes = 0;        // shared-lock-mode lazy Θ(n) refreshes
-  // ---- publication cadence (Connectivity Spec::PublishEvery/
-  // AdaptivePublication): batches the cadence held back, the cumulative
-  // Θ(n) publication cost that justifies holding them back, and the k the
-  // adaptive policy last chose (a gauge, not a sum) ----
-  uint64_t publication_skips = 0;      // Insert batches not published
-  uint64_t publication_cost_us = 0;    // total µs spent materializing+swapping
-  uint64_t publication_cadence_k = 1;  // last cadence used (gauge)
+  uint64_t publication_cost_us = 0;    // total µs Insert spent publishing
   // ---- batch-deletion path (Connectivity::Erase / DynamicForest) ----
   uint64_t erase_batches = 0;          // Erase calls applied
   uint64_t edges_erased = 0;           // edges actually removed
   uint64_t erase_misses = 0;           // absent-edge / self-loop no-ops
   uint64_t forest_edge_hits = 0;       // deleted edges that were forest edges
-  uint64_t replacement_searches = 0;   // affected components searched
+  uint64_t replacement_searches = 0;   // deleted forest edges searched
   uint64_t components_split = 0;       // splits (no surviving replacement)
   // Retired-but-not-freed blocks still pinned by an epoch or a held
   // Snapshot (the deferred-reclamation backlog).
@@ -125,9 +119,7 @@ inline std::atomic<uint64_t> g_epoch_advances{0};
 inline std::atomic<uint64_t> g_snapshots_retired{0};
 inline std::atomic<uint64_t> g_snapshots_reclaimed{0};
 inline std::atomic<uint64_t> g_label_refreshes{0};
-inline std::atomic<uint64_t> g_publication_skips{0};
 inline std::atomic<uint64_t> g_publication_cost_us{0};
-inline std::atomic<uint64_t> g_publication_cadence_k{1};
 inline std::atomic<uint64_t> g_erase_batches{0};
 inline std::atomic<uint64_t> g_edges_erased{0};
 inline std::atomic<uint64_t> g_erase_misses{0};
@@ -151,16 +143,10 @@ inline void RecordSnapshotReclaimed() {
 inline void RecordLabelRefresh() {
   internal::g_label_refreshes.fetch_add(1, std::memory_order_relaxed);
 }
-// One Insert batch the cadence policy chose not to publish.
-inline void RecordPublicationSkip() {
-  internal::g_publication_skips.fetch_add(1, std::memory_order_relaxed);
-}
-// One publication's measured Θ(n) cost and the cadence in force when it ran.
-inline void RecordPublicationCost(uint64_t micros, uint64_t cadence_k) {
+// The measured cost of one Insert's publication.
+inline void RecordPublicationCost(uint64_t micros) {
   internal::g_publication_cost_us.fetch_add(micros,
                                             std::memory_order_relaxed);
-  internal::g_publication_cadence_k.store(cadence_k,
-                                          std::memory_order_relaxed);
 }
 // One call per applied Erase batch, with that batch's deletion tallies
 // (see DynamicForest::EraseStats for the field semantics).
@@ -191,12 +177,8 @@ inline ServingSnapshot ReadServing() {
       internal::g_snapshots_reclaimed.load(std::memory_order_relaxed);
   s.label_refreshes =
       internal::g_label_refreshes.load(std::memory_order_relaxed);
-  s.publication_skips =
-      internal::g_publication_skips.load(std::memory_order_relaxed);
   s.publication_cost_us =
       internal::g_publication_cost_us.load(std::memory_order_relaxed);
-  s.publication_cadence_k =
-      internal::g_publication_cadence_k.load(std::memory_order_relaxed);
   s.erase_batches = internal::g_erase_batches.load(std::memory_order_relaxed);
   s.edges_erased = internal::g_edges_erased.load(std::memory_order_relaxed);
   s.erase_misses = internal::g_erase_misses.load(std::memory_order_relaxed);
@@ -217,9 +199,7 @@ inline void ResetServing() {
   internal::g_snapshots_retired.store(0, std::memory_order_relaxed);
   internal::g_snapshots_reclaimed.store(0, std::memory_order_relaxed);
   internal::g_label_refreshes.store(0, std::memory_order_relaxed);
-  internal::g_publication_skips.store(0, std::memory_order_relaxed);
   internal::g_publication_cost_us.store(0, std::memory_order_relaxed);
-  internal::g_publication_cadence_k.store(1, std::memory_order_relaxed);
   internal::g_erase_batches.store(0, std::memory_order_relaxed);
   internal::g_edges_erased.store(0, std::memory_order_relaxed);
   internal::g_erase_misses.store(0, std::memory_order_relaxed);

@@ -40,6 +40,22 @@ TEST(Components, SizesSumToN) {
   }
 }
 
+// One label covers over 80% of 2^20 vertices and the rest are singletons:
+// the block-combined counts equal a sequential count exactly.
+TEST(Components, SizesMatchSequentialCountWithGiantComponent) {
+  const NodeId n = 1u << 20;
+  const NodeId giant = 12345;
+  std::vector<NodeId> labels(n);
+  for (NodeId v = 0; v < n; ++v) {
+    const bool in_giant = (v * 2654435761u) % 100 < 85;
+    labels[v] = in_giant || v == giant ? giant : v;
+  }
+  std::vector<NodeId> expected(n, 0);
+  for (const NodeId label : labels) ++expected[label];
+  ASSERT_GE(expected[giant], n / 10 * 8);
+  EXPECT_EQ(ComponentSizes(labels), expected);
+}
+
 TEST(Components, DenseIdsAreDenseAndConsistent) {
   const Graph g = GenerateComponentMixture(500, 4, 9);
   const auto labels = LabelsOf(g);

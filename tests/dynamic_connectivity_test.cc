@@ -24,6 +24,7 @@
 
 #include "src/algo/verify.h"
 #include "src/core/connectivity_index.h"
+#include "src/core/edge_key_set.h"
 #include "src/core/registry.h"
 #include "src/graph/graph_handle.h"
 #include "src/stats/counters.h"
@@ -310,6 +311,24 @@ TEST(EraseReplacement, SurvivingReplacementKeepsAnswers) {
   EXPECT_TRUE(index.SameComponent(2, 3));
 }
 
+// A split relabels one side only, and labels stay min-rooted: when the
+// side that splits off holds the old minimum, the rest takes its own.
+TEST(EraseReplacement, SplitKeepsLabelsMinRooted) {
+  Connectivity index;
+  index.Stream(9);
+  index.Insert({{0, 5}, {5, 6}, {6, 7}, {7, 8}});
+  index.Erase({{0, 5}});
+  EXPECT_EQ(index.Labels(), (std::vector<NodeId>{0, 1, 2, 3, 4, 5, 5, 5, 5}));
+  index.Erase({{7, 8}});
+  EXPECT_EQ(index.Labels(), (std::vector<NodeId>{0, 1, 2, 3, 4, 5, 5, 5, 8}));
+  // The middle edge of a path with a chord: the chord replaces it.
+  index.Insert({{7, 8}, {5, 7}});
+  const std::vector<NodeId> joined = index.Labels();
+  index.Erase({{6, 7}});
+  EXPECT_EQ(index.Labels(), joined);
+  EXPECT_EQ(index.NumComponents(), 6u);
+}
+
 // Erase also works after a warm Build -> Stream handoff (the forest arms
 // from the built graph via run_forest, then replays the insert journal).
 TEST(EraseWarmStart, ArmsFromBuiltGraphAndJournal) {
@@ -327,6 +346,37 @@ TEST(EraseWarmStart, ArmsFromBuiltGraphAndJournal) {
   const std::vector<NodeId> expected = SequentialComponents(
       ToEdgeList(6, EdgeSet{{0, 1}, {3, 4}}));
   EXPECT_EQ(CanonicalizeLabels(index.Labels()), expected);
+}
+
+// The forest's open-addressing edge sets agree with std::set through
+// growth, tombstone reuse and tombstone-clearing rehashes.
+TEST(EdgeKeySet, MatchesStdSetUnderChurn) {
+  std::mt19937_64 rng(7);
+  EdgeKeySet keys;
+  std::set<uint64_t> expected;
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 5000; ++i) {
+      const uint64_t lo = rng() % 300;
+      const uint64_t key = lo << 32 | (lo + 1 + rng() % 300);
+      if (rng() % 3 == 0) {
+        ASSERT_EQ(keys.Erase(key), expected.erase(key) == 1);
+      } else {
+        ASSERT_EQ(keys.Insert(key), expected.insert(key).second);
+      }
+    }
+    const uint64_t cut = rng() % 300;
+    while (!expected.empty() && *expected.begin() < cut << 32) {
+      ASSERT_TRUE(keys.Erase(*expected.begin()));
+      expected.erase(expected.begin());
+    }
+    ASSERT_EQ(keys.size(), expected.size());
+    for (uint64_t lo = 0; lo < 300; ++lo) {
+      for (uint64_t hi = lo + 1; hi <= lo + 300; hi += 7) {
+        const uint64_t key = lo << 32 | hi;
+        ASSERT_EQ(keys.Contains(key), expected.count(key) == 1);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,6 +72,33 @@ TEST(ThreadPool, ResizeWorks) {
   EXPECT_EQ(count.load(), 1000);
   SetNumWorkers(original);
   EXPECT_EQ(NumWorkers(), original);
+}
+
+// Threads outside the pool may run parallel loops at the same time: their
+// jobs queue behind each other instead of overwriting each other's job
+// state, so every sum is exact.
+TEST(ThreadPool, ConcurrentOutsideCallersGetExactSums) {
+  SetNumWorkers(4);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 1000;
+  constexpr size_t kN = 4096;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int r = 0; r < kRounds; ++r) {
+        std::atomic<uint64_t> sum{0};
+        ParallelFor(
+            0, kN,
+            [&](size_t i) { sum.fetch_add(i + c, std::memory_order_relaxed); },
+            /*grain=*/64);
+        if (sum.load() != kN * (kN - 1) / 2 + kN * c) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  SetNumWorkers(0);
 }
 
 TEST(ParallelReduce, SumAndMax) {

@@ -9,11 +9,19 @@
 // reader defers exactly its own block, and everything is reclaimed once
 // handles drop (ASan/TSan-clean by construction); (4) the shared-lock
 // baseline's lazy refresh runs exactly once per batch even under racing
-// readers. Plus the many-readers-one-writer stress the TSan CI job runs.
+// readers; (5) incremental publication — copy-on-write pages, small-to-
+// large relabelling, full republication after a split — matches a static
+// recompute after every Insert and Erase. Plus the many-readers-one-writer
+// stress the TSan CI job runs.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
+#include <random>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,17 +40,19 @@ namespace connectit {
 namespace {
 
 // A snapshot's invariants hold internally: fully compressed labels, sizes
-// indexed by representative summing to n, component count matching.
+// indexed by representative equal to a recount, component count matching.
 void CheckSnapshotConsistent(const Snapshot& snap) {
-  const std::vector<NodeId>& labels = snap.Labels();
+  const std::vector<NodeId> labels = snap.Labels();
   ASSERT_EQ(labels.size(), snap.num_nodes());
   NodeId total = 0;
   for (NodeId v = 0; v < snap.num_nodes(); ++v) {
     ASSERT_EQ(labels[labels[v]], labels[v]) << "not fully compressed at " << v;
-    total += snap.ComponentSizes()[v];
+    ASSERT_EQ(snap.Component(v), labels[v]);
+    total += snap.ComponentSize(v);
   }
   ASSERT_EQ(total, snap.num_nodes());
   ASSERT_EQ(snap.NumComponents(), CountComponents(labels));
+  ASSERT_EQ(snap.ComponentSizes(), ComponentSizes(labels));
 }
 
 TEST(ServingSnapshot, AcquiredSnapshotIsImmutableUnderConcurrentInsert) {
@@ -283,7 +293,7 @@ TEST(ServingSnapshot, ManyReadersOneWriterStress) {
         last_version = snap.version();
         const NodeId u_label = snap.Component(e.u);
         if (snap.Component(e.v) != u_label ||
-            snap.Labels()[u_label] != u_label) {
+            snap.Component(u_label) != u_label) {
           ADD_FAILURE() << "snapshot answers incoherent";
           break;
         }
@@ -313,128 +323,205 @@ TEST(ServingSnapshot, ManyReadersOneWriterStress) {
             CanonicalizeLabels(full.Labels()));
 }
 
-// ---- publication cadence (Spec::PublishEvery / Spec::AdaptiveCadence) ----
+// ---- batch boundaries and incremental publication ----
 
-// Shared skeleton for the cadence tests: stream batches into an index with
-// the given spec and require every acquired snapshot to sit exactly on a
-// batch boundary — matching one of the reference prefix labelings, never a
-// half-applied batch — with versions monotone and an unchanged version
-// implying unchanged labels.
+// Streams batches into `index` and requires every acquired snapshot to sit
+// exactly on the boundary of the batch just applied — the reference prefix
+// labeling, never a half-applied batch — under a fresh version.
 void StreamAndCheckBoundaries(Connectivity& index, const char* what) {
   const NodeId n = 512;
   const EdgeList stream = GenerateRmatEdges(n, 3ull * n, /*seed=*/7);
   const size_t kBatch = 128;
 
-  // Reference labelings at every batch boundary, computed up front so the
-  // cadence loop below runs tight (publication skips are timing-based:
-  // a batch landing > kCadenceQuietGapUs after the previous one always
-  // publishes).
-  Connectivity ref;
-  ref.Stream(n);
-  std::vector<std::vector<NodeId>> boundary;
-  boundary.push_back(CanonicalizeLabels(ref.Labels()));
-  for (size_t start = 0; start < stream.size(); start += kBatch) {
-    const size_t end = std::min(start + kBatch, stream.size());
-    ref.Insert(std::vector<Edge>(stream.edges.begin() + start,
-                                 stream.edges.begin() + end));
-    boundary.push_back(CanonicalizeLabels(ref.Labels()));
-  }
-
+  EdgeList prefix;
+  prefix.num_nodes = n;
   index.Stream(n);
   uint64_t last_version = index.Acquire().version();
-  std::vector<NodeId> last_canon = CanonicalizeLabels(index.Acquire().Labels());
-  size_t batch_index = 0;
   for (size_t start = 0; start < stream.size(); start += kBatch) {
     const size_t end = std::min(start + kBatch, stream.size());
-    index.Insert(std::vector<Edge>(stream.edges.begin() + start,
-                                   stream.edges.begin() + end));
-    ++batch_index;
+    const std::vector<Edge> batch(stream.edges.begin() + start,
+                                  stream.edges.begin() + end);
+    index.Insert(batch);
+    prefix.edges.insert(prefix.edges.end(), batch.begin(), batch.end());
     const Snapshot snap = index.Acquire();
-    ASSERT_GE(snap.version(), last_version) << what;
-    const std::vector<NodeId> canon = CanonicalizeLabels(snap.Labels());
-    if (snap.version() == last_version) {
-      ASSERT_EQ(canon, last_canon)
-          << what << ": unpublished batch leaked into a stale snapshot";
-    } else {
-      // A fresh publication must be exactly some batch prefix <= current.
-      bool on_boundary = false;
-      for (size_t j = 0; j <= batch_index && !on_boundary; ++j) {
-        on_boundary = (canon == boundary[j]);
-      }
-      ASSERT_TRUE(on_boundary)
-          << what << ": snapshot after batch " << batch_index
-          << " matches no batch boundary (half-applied batch exposed)";
-    }
+    ASSERT_GT(snap.version(), last_version) << what;
     last_version = snap.version();
-    last_canon = canon;
+    ASSERT_EQ(CanonicalizeLabels(snap.Labels()), SequentialComponents(prefix))
+        << what << ": snapshot after batch " << start / kBatch + 1
+        << " is not that batch's boundary";
   }
-
-  // Flush publishes whatever was held back: the served view catches up to
-  // the live labeling (the final boundary) unconditionally.
-  index.Flush();
-  EXPECT_EQ(CanonicalizeLabels(index.Acquire().Labels()), boundary.back())
-      << what << ": Flush did not publish the held-back batches";
   EXPECT_EQ(index.Acquire().Labels(), index.Labels()) << what;
-  // Idempotent: nothing held back, nothing published.
-  const uint64_t pubs = stats::ReadServing().snapshot_publications;
-  index.Flush();
-  EXPECT_EQ(stats::ReadServing().snapshot_publications, pubs)
-      << what << ": Flush with nothing held back must not publish";
 }
 
-TEST(ServingSnapshot, FixedCadenceNeverExposesHalfAppliedBatches) {
-  const uint64_t skips_before = stats::ReadServing().publication_skips;
-  Connectivity index(Connectivity::Spec().PublishEvery(4));
-  StreamAndCheckBoundaries(index, "PublishEvery(4)");
-  // 12 batches at k=4 on a tight loop: some batches must have been held
-  // back (each skip ticks the counter; the quiet-gap override would need
-  // 50ms stalls between the tiny batches above to defeat every skip).
-  EXPECT_GT(stats::ReadServing().publication_skips, skips_before)
-      << "k=4 never skipped a publication";
+TEST(ServingSnapshot, SnapshotsSitOnBatchBoundaries) {
+  Connectivity index;
+  StreamAndCheckBoundaries(index, "default spec");
 }
 
-TEST(ServingSnapshot, AdaptiveCadenceKeepsSnapshotsOnBatchBoundaries) {
-  Connectivity index(Connectivity::Spec().AdaptiveCadence());
-  StreamAndCheckBoundaries(index, "AdaptiveCadence");
-  const uint64_t k = stats::ReadServing().publication_cadence_k;
-  EXPECT_GE(k, 1u);
-  EXPECT_LE(k, Connectivity::kMaxAdaptiveCadence);
-}
-
-// Erase cuts through the cadence: a deletion (and the batches held back
-// before it) is visible in the very next Acquire — a stale "still
-// connected" answer after an erase is not acceptable staleness.
-TEST(ServingSnapshot, CadenceErasePublishesImmediately) {
-  Connectivity index(Connectivity::Spec().PublishEvery(8));
+// A deletion is visible in the very next Acquire, with every earlier
+// insert.
+TEST(ServingSnapshot, ErasePublishesImmediately) {
+  Connectivity index;
   index.Stream(/*num_nodes=*/64);
-  index.Insert({{1, 2}, {2, 3}});  // batch 1 of 8: may be held back
-  index.Insert({{4, 5}});          // batch 2 of 8: may be held back
+  index.Insert({{1, 2}, {2, 3}});
+  index.Insert({{4, 5}});
   index.Erase({{1, 2}});
   const Snapshot snap = index.Acquire();
   EXPECT_EQ(snap.Labels(), index.Labels());
   EXPECT_FALSE(snap.SameComponent(1, 2)) << "erase not visible";
-  EXPECT_TRUE(snap.SameComponent(2, 3))
-      << "held-back insert lost across the erase";
-  EXPECT_TRUE(snap.SameComponent(4, 5))
-      << "held-back insert lost across the erase";
+  EXPECT_TRUE(snap.SameComponent(2, 3)) << "insert lost across the erase";
+  EXPECT_TRUE(snap.SameComponent(4, 5)) << "insert lost across the erase";
 }
 
-// The default spec keeps today's behavior bit-for-bit: k=1, every batch
-// publishes, no skips — pinned so cadence stays strictly opt-in.
 TEST(ServingSnapshot, DefaultSpecPublishesEveryBatch) {
-  EXPECT_EQ(Connectivity::Spec().publish_every(), 1u);
-  EXPECT_FALSE(Connectivity::Spec().adaptive_cadence());
-  const uint64_t skips_before = stats::ReadServing().publication_skips;
   Connectivity index;
   index.Stream(/*num_nodes=*/128);
   uint64_t version = index.Acquire().version();
   for (int i = 0; i < 6; ++i) {
     index.Insert({{static_cast<NodeId>(i), static_cast<NodeId>(i + 1)}});
     const uint64_t now = index.Acquire().version();
-    EXPECT_GT(now, version) << "default spec must publish every batch";
+    EXPECT_GT(now, version) << "every batch must publish";
     version = now;
   }
-  EXPECT_EQ(stats::ReadServing().publication_skips, skips_before);
+}
+
+using EdgeSet = std::set<std::pair<NodeId, NodeId>>;
+
+EdgeList ToEdgeList(NodeId n, const EdgeSet& present) {
+  EdgeList out;
+  out.num_nodes = n;
+  for (const auto& [u, v] : present) out.edges.push_back({u, v});
+  return out;
+}
+
+// One seeded run: Build(base) -> Stream -> alternating Insert and Erase
+// batches. Sparse random edges make many Erases split a component, and the
+// next Insert then publishes incrementally on top of the split's full
+// publication. After every batch the snapshot must be internally
+// consistent and partition the vertices exactly as a static recompute over
+// the surviving edges does. Returns the splits the run made.
+uint64_t RunPublicationDifferential(const Variant& variant,
+                                    GraphRepresentation repr, uint64_t seed) {
+  constexpr NodeId kNodes = 200;
+  constexpr int kRounds = 12;
+  std::mt19937_64 rng(seed);
+  auto random_vertex = [&] { return static_cast<NodeId>(rng() % kNodes); };
+  auto add = [](EdgeSet& set, const Edge& e) {
+    if (e.u != e.v) set.insert({std::min(e.u, e.v), std::max(e.u, e.v)});
+  };
+
+  EdgeSet present;
+  EdgeList base;
+  base.num_nodes = kNodes;
+  for (int i = 0; i < 160; ++i) {
+    base.edges.push_back({random_vertex(), random_vertex()});
+    add(present, base.edges.back());
+  }
+  Connectivity index(
+      Connectivity::Spec().Algorithm(variant.descriptor).Representation(repr));
+  index.Build(GraphHandle(base)).Stream();
+
+  const uint64_t splits_before = stats::ReadServing().components_split;
+  for (int round = 0; round < 2 * kRounds; ++round) {
+    std::vector<Edge> batch;
+    if (round % 2 == 0) {
+      for (int i = 0; i < 12; ++i) {
+        batch.push_back({random_vertex(), random_vertex()});
+        add(present, batch.back());
+      }
+      index.Insert(batch);
+    } else {
+      for (int i = 0; i < 10 && !present.empty(); ++i) {
+        auto it = present.begin();
+        std::advance(it, rng() % present.size());
+        batch.push_back({it->first, it->second});
+        present.erase(it);
+      }
+      index.Erase(batch);
+    }
+    const Snapshot snap = index.Acquire();
+    CheckSnapshotConsistent(snap);
+    EXPECT_EQ(CanonicalizeLabels(snap.Labels()),
+              SequentialComponents(ToEdgeList(kNodes, present)))
+        << variant.name << " on " << ToString(repr) << ", seed " << seed
+        << ", batch " << round;
+    if (::testing::Test::HasFailure()) break;
+  }
+  return stats::ReadServing().components_split - splits_before;
+}
+
+TEST(ServingSnapshot, IncrementalPublicationMatchesRecompute) {
+  uint64_t splits = 0;
+  for (const Variant* v : StreamingVariants()) {
+    for (const GraphRepresentation repr :
+         {GraphRepresentation::kCsr, GraphRepresentation::kCoo}) {
+      splits += RunPublicationDifferential(*v, repr, /*seed=*/2024);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(splits, 0u) << "no Erase split a component";
+}
+
+// Copy-on-write never writes a page a published snapshot holds: a snapshot
+// pinned mid-stream reads back byte for byte the same after many more
+// Inserts and Erases, splitting ones included.
+TEST(ServingSnapshot, PinnedSnapshotSurvivesLaterBatchesUnchanged) {
+  const NodeId n = 1u << 12;
+  const EdgeList stream = GenerateRmatEdges(n, 3ull * n, /*seed=*/5);
+  const size_t kBatch = 256;
+  Connectivity index;
+  index.Stream(n);
+  Snapshot pinned;
+  std::vector<NodeId> labels, sizes;
+  NodeId components = 0;
+  uint64_t version = 0;
+  size_t batches = 0;
+  for (size_t start = 0; start < stream.size(); start += kBatch, ++batches) {
+    const size_t end = std::min(start + kBatch, stream.size());
+    const std::vector<Edge> batch(stream.edges.begin() + start,
+                                  stream.edges.begin() + end);
+    index.Insert(batch);
+    if (batches % 4 == 3) {
+      index.Erase(std::vector<Edge>(batch.begin(), batch.begin() + 64));
+    }
+    if (batches == 3) {
+      pinned = index.Acquire();
+      labels = pinned.Labels();
+      sizes = pinned.ComponentSizes();
+      components = pinned.NumComponents();
+      version = pinned.version();
+    }
+  }
+  ASSERT_GE(batches, 20u);
+  EXPECT_GT(index.Acquire().version(), version + 16);
+  EXPECT_EQ(pinned.Labels(), labels);
+  EXPECT_EQ(pinned.ComponentSizes(), sizes);
+  EXPECT_EQ(pinned.NumComponents(), components);
+  EXPECT_EQ(pinned.version(), version);
+  CheckSnapshotConsistent(pinned);
+}
+
+// Small-to-large: a merge relabels the smaller side, so joining a
+// singleton leaves the large component's representative in place — even
+// when the singleton has the smaller id.
+TEST(ServingSnapshot, MergeRelabelsTheSmallerSide) {
+  Connectivity index;
+  index.Stream(/*num_nodes=*/1000);
+  std::vector<Edge> path;
+  for (NodeId v = 501; v < 600; ++v) path.push_back({v - 1, v});
+  index.Insert(path);
+  const Snapshot before = index.Acquire();
+  const NodeId rep = before.Component(550);
+  ASSERT_EQ(before.ComponentSize(rep), 100u);
+
+  index.Insert({{0, 550}});
+  const Snapshot after = index.Acquire();
+  EXPECT_EQ(after.Component(550), rep);
+  EXPECT_EQ(after.Component(500), rep);
+  EXPECT_EQ(after.Component(0), rep) << "the singleton joins the large side";
+  EXPECT_EQ(after.ComponentSize(rep), 101u);
+  EXPECT_EQ(after.ComponentSize(0), 0u);
+  EXPECT_EQ(after.NumComponents(), before.NumComponents() - 1);
 }
 
 }  // namespace
