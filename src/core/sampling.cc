@@ -1,9 +1,9 @@
 #include "src/core/sampling.h"
 
-#include <atomic>
+#include <algorithm>
 
-#include "src/parallel/atomics.h"
-#include "src/parallel/thread_pool.h"
+#include "src/core/components.h"
+#include "src/parallel/primitives.h"
 
 namespace connectit {
 
@@ -52,27 +52,29 @@ SamplingQuality MeasureSamplingQuality(const Graph& graph,
   SamplingQuality q;
   const NodeId n = graph.num_nodes();
   if (n == 0) return q;
-  // Coverage: most frequent cluster size over n.
-  std::vector<NodeId> counts(n, 0);
-  ParallelFor(0, n, [&](size_t v) { FetchAdd<NodeId>(&counts[labels[v]], 1); });
-  NodeId best = 0;
-  NodeId clusters = 0;
-  for (NodeId c = 0; c < n; ++c) {
-    if (counts[c] > 0) ++clusters;
-    best = std::max(best, counts[c]);
-  }
+  // Coverage: most frequent cluster size over n. ComponentSizes combines
+  // counts per block, so the giant cluster's counter takes a few adds
+  // rather than one per member.
+  const std::vector<NodeId> sizes = ComponentSizes(labels);
+  const NodeId best = ParallelReduce<NodeId>(
+      0, n, 0, [&](size_t c) { return sizes[c]; },
+      [](NodeId a, NodeId b) { return std::max(a, b); });
   q.coverage = static_cast<double>(best) / static_cast<double>(n);
-  q.num_clusters = clusters;
-  // Inter-component (inter-cluster) arc fraction.
-  std::atomic<EdgeId> inter{0};
-  graph.MapArcs([&](NodeId u, NodeId v) {
-    if (labels[u] != labels[v]) inter.fetch_add(1, std::memory_order_relaxed);
+  q.num_clusters = static_cast<NodeId>(
+      ParallelCount(0, n, [&](size_t c) { return sizes[c] > 0; }));
+  // Inter-component (inter-cluster) arc fraction, counted per vertex.
+  const EdgeId inter = ParallelSum<EdgeId>(0, n, [&](size_t ui) {
+    const NodeId label = labels[ui];
+    EdgeId count = 0;
+    for (const NodeId v : graph.neighbors(static_cast<NodeId>(ui))) {
+      count += labels[v] != label;
+    }
+    return count;
   });
   q.intercomponent_fraction =
-      graph.num_arcs() == 0
-          ? 0.0
-          : static_cast<double>(inter.load()) /
-                static_cast<double>(graph.num_arcs());
+      graph.num_arcs() == 0 ? 0.0
+                            : static_cast<double>(inter) /
+                                  static_cast<double>(graph.num_arcs());
   return q;
 }
 

@@ -6,6 +6,13 @@
 // relies on: the labeling is a depth-<=1 rooted forest, and parent values
 // never exceed vertex ids (required by Rem's value-ordered linking).
 //
+// k-out sampling runs as at most two blocked passes: the deterministic
+// first pick, a compression, then every remaining pick, each pass gathering
+// 64 picks per worker and prefetching their parents before uniting them, so
+// cache misses overlap and the later finds are one hop. ID-ordered linking
+// makes every label its cluster's minimum whatever order the unites run in,
+// so the labels match a sequential union of the documented picks exactly.
+//
 // The *Forest variants additionally emit partial spanning-forest edges in
 // the per-vertex slot array (Definition B.2): slot[v] holds the unique
 // forest edge assigned to v, or (kInvalidNode, kInvalidNode).
@@ -69,65 +76,121 @@ inline void ReRootSlots(const std::vector<NodeId>& tree_parents, NodeId m,
   slots[m] = kEmptySlot;
 }
 
+// The j-th sampled neighbor of u, where deg = degree(u) > 0. Pick 0 is
+// deterministic for every variant but kPure: neighbor 0 (kAfforest,
+// kHybrid) or the first neighbor of highest degree (kMaxDegree).
+// Afforest's pick j is neighbor j; every other pick is a uniformly random
+// neighbor, drawn from the stateless stream at index u*k + j.
+template <typename GraphT>
+NodeId KOutPick(const GraphT& graph, const KOutOptions& options,
+                const Rng& rng, NodeId u, EdgeId deg, uint32_t j,
+                uint32_t k) {
+  switch (options.variant) {
+    case KOutVariant::kAfforest:
+      return graph.NeighborAt(u, j);
+    case KOutVariant::kHybrid:
+      if (j == 0) return graph.NeighborAt(u, 0);
+      break;
+    case KOutVariant::kMaxDegree:
+      if (j == 0) {
+        NodeId best = kInvalidNode;
+        EdgeId best_deg = 0;
+        graph.MapNeighbors(u, [&](NodeId v) {
+          const EdgeId d = graph.degree(v);
+          if (best == kInvalidNode || d > best_deg) {
+            best_deg = d;
+            best = v;
+          }
+        });
+        return best;
+      }
+      break;
+    case KOutVariant::kPure:
+      break;
+  }
+  return graph.NeighborAt(
+      u, rng.GetBounded(static_cast<uint64_t>(u) * k + j, deg));
+}
+
+// Picks one worker gathers before uniting any of them.
+inline constexpr size_t kPickBatch = 64;
+// Vertices per scheduled chunk of a pass. Two workers' unites meet at chunk
+// boundaries; with 1024-vertex chunks, pure picks on a 512x512 grid ran
+// ~10% slower than the single-pass loop did.
+inline constexpr size_t kPassGrain = 4096;
+
+// Unites picks [first, last) of every vertex in one parallel pass. A worker
+// gathers up to kPickBatch picks with no atomic in between, prefetches the
+// picked neighbors' parents, and only then unites them: a unite's CAS is a
+// full fence, so uniting as it goes would stop the next vertex's cache
+// misses from overlapping the current one's.
+template <bool kForest, typename GraphT>
+void KOutPass(const GraphT& graph, const KOutOptions& options, uint32_t k,
+              uint32_t first, uint32_t last, SampleDsu& dsu,
+              std::vector<Edge>* slots) {
+  const Rng rng(options.seed);
+  const bool afforest = options.variant == KOutVariant::kAfforest;
+  NodeId* parents = dsu.parents();
+  ParallelForBlocked(
+      0, graph.num_nodes(),
+      [&](size_t lo, size_t hi) {
+        Edge batch[kPickBatch];
+        size_t size = 0;
+        const auto unite_batch = [&] {
+          for (size_t i = 0; i < size; ++i) {
+            __builtin_prefetch(&parents[batch[i].v]);
+          }
+          for (size_t i = 0; i < size; ++i) {
+            const auto [u, v] = batch[i];
+            // Equal parents mean one tree already (trees only merge). After
+            // a compression this is every pick inside a cluster, so most
+            // picks skip the unite's finds.
+            if (AtomicLoadRelaxed(&parents[u]) ==
+                AtomicLoadRelaxed(&parents[v])) {
+              continue;
+            }
+            ApplySampledEdge<kForest>(dsu, u, v, slots);
+          }
+          size = 0;
+        };
+        for (size_t ui = lo; ui < hi; ++ui) {
+          const NodeId u = static_cast<NodeId>(ui);
+          const EdgeId deg = graph.degree(u);
+          // Afforest takes at most deg picks, the other variants k.
+          const EdgeId end =
+              deg == 0 ? 0 : (afforest ? std::min<EdgeId>(last, deg) : last);
+          for (uint32_t j = first; j < end; ++j) {
+            batch[size++] = {u, KOutPick(graph, options, rng, u, deg, j, k)};
+            if (size == kPickBatch) unite_batch();
+          }
+        }
+        unite_batch();
+      },
+      kPassGrain);
+}
+
+// Pass 1 unites the deterministic first pick and compresses, so on skewed
+// graphs the giant cluster forms there and pass 2's finds are one hop;
+// pass 2 unites every remaining pick (see the header comment).
 template <bool kForest, typename GraphT>
 void KOutSampleImpl(const GraphT& graph, const KOutOptions& options,
                     std::vector<NodeId>& labels, std::vector<Edge>* slots) {
   const NodeId n = graph.num_nodes();
   if (n == 0) return;
   SampleDsu dsu(labels.data(), n);
-  Rng rng(options.seed);
   const uint32_t k = std::max<uint32_t>(1, options.k);
-  ParallelFor(
-      0, n,
-      [&](size_t ui) {
-        const NodeId u = static_cast<NodeId>(ui);
-        const EdgeId deg = graph.degree(u);
-        if (deg == 0) return;
-        uint32_t selected = 0;
-        switch (options.variant) {
-          case KOutVariant::kAfforest: {
-            // First k edges of u.
-            const EdgeId limit = std::min<EdgeId>(k, deg);
-            for (EdgeId j = 0; j < limit; ++j) {
-              ApplySampledEdge<kForest>(dsu, u, graph.NeighborAt(u, j),
-                                        slots);
-            }
-            return;
-          }
-          case KOutVariant::kHybrid: {
-            ApplySampledEdge<kForest>(dsu, u, graph.NeighborAt(u, 0), slots);
-            selected = 1;
-            break;
-          }
-          case KOutVariant::kMaxDegree: {
-            // Highest-degree neighbor first.
-            NodeId best = kInvalidNode;
-            EdgeId best_deg = 0;
-            graph.MapNeighbors(u, [&](NodeId v) {
-              const EdgeId d = graph.degree(v);
-              if (best == kInvalidNode || d > best_deg) {
-                best_deg = d;
-                best = v;
-              }
-            });
-            ApplySampledEdge<kForest>(dsu, u, best, slots);
-            selected = 1;
-            break;
-          }
-          case KOutVariant::kPure:
-            break;
-        }
-        // Remaining picks are uniformly random neighbors of u.
-        for (uint32_t j = selected; j < k; ++j) {
-          const EdgeId idx =
-              rng.GetBounded(static_cast<uint64_t>(u) * k + j, deg);
-          ApplySampledEdge<kForest>(dsu, u, graph.NeighborAt(u, idx), slots);
-        }
-      },
-      /*grain=*/64);
-  // Full path compression: with ID-ordered linking the root of each tree is
-  // its minimum member, so compression also normalizes to cluster-min.
-  FullyCompressParents(labels.data(), n);
+  uint32_t first = 0;
+  if (options.variant != KOutVariant::kPure) {
+    KOutPass<kForest>(graph, options, k, 0, 1, dsu, slots);
+    FullyCompressParents(labels.data(), n);
+    first = 1;
+  }
+  if (first < k) {
+    KOutPass<kForest>(graph, options, k, first, k, dsu, slots);
+    // Full path compression: with ID-ordered linking the root of each tree
+    // is its minimum member, so compression also normalizes to cluster-min.
+    FullyCompressParents(labels.data(), n);
+  }
 }
 
 template <bool kForest, typename GraphT>

@@ -1,12 +1,22 @@
 // Tests for the sampling phase: Definition 3.1 properties, value
-// monotonicity, per-scheme behavior, quality metrics, and IdentifyFrequent.
+// monotonicity, per-scheme behavior, the exact k-out pick contract, quality
+// metrics, and IdentifyFrequent.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/algo/verify.h"
+#include "src/core/components.h"
 #include "src/core/connectit.h"
 #include "src/core/frequent.h"
 #include "src/core/sampling.h"
+#include "src/graph/compressed.h"
+#include "src/parallel/thread_pool.h"
 #include "tests/test_graphs.h"
 
 namespace connectit {
@@ -76,6 +86,129 @@ TEST(KOutSampling, AllVariantsProduceValidPartialLabelings) {
       CheckPartialLabeling(context, g, labels);
     }
   }
+}
+
+// The documented k-out picks of every vertex, written out sequentially:
+// afforest takes neighbors 0..min(k, deg)-1; hybrid neighbor 0 and maxdeg
+// the first highest-degree neighbor as pick 0; every other pick j is
+// neighbor Rng(seed).GetBounded(u*k + j, deg).
+std::vector<Edge> ReferencePicks(const Graph& g, const KOutOptions& options) {
+  const Rng rng(options.seed);
+  const uint32_t k = options.k;
+  std::vector<Edge> picks;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const auto nbrs = g.neighbors(u);
+    const EdgeId deg = nbrs.size();
+    if (deg == 0) continue;
+    uint32_t j = 0;
+    switch (options.variant) {
+      case KOutVariant::kAfforest:
+        for (; j < std::min<EdgeId>(k, deg); ++j) {
+          picks.push_back({u, nbrs[j]});
+        }
+        continue;
+      case KOutVariant::kHybrid:
+        picks.push_back({u, nbrs[0]});
+        j = 1;
+        break;
+      case KOutVariant::kMaxDegree: {
+        NodeId best = nbrs[0];
+        for (const NodeId v : nbrs) {
+          if (g.degree(v) > g.degree(best)) best = v;
+        }
+        picks.push_back({u, best});
+        j = 1;
+        break;
+      }
+      case KOutVariant::kPure:
+        break;
+    }
+    for (; j < k; ++j) {
+      picks.push_back(
+          {u, nbrs[rng.GetBounded(static_cast<uint64_t>(u) * k + j, deg)]});
+    }
+  }
+  return picks;
+}
+
+// Labelings compared vertex by vertex, reporting the first difference.
+::testing::AssertionResult SameLabels(const std::vector<NodeId>& actual,
+                                      const std::vector<NodeId>& expected) {
+  if (actual.size() != expected.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << actual.size() << " != " << expected.size();
+  }
+  for (NodeId v = 0; v < actual.size(); ++v) {
+    if (actual[v] != expected[v]) {
+      return ::testing::AssertionFailure()
+             << "label of " << v << " is " << actual[v] << ", expected "
+             << expected[v];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Pins the k-out contract exactly: a dropped, duplicated or re-indexed
+// pick changes some cluster, which validity and coverage checks miss.
+TEST(KOutSampling, MatchesSequentialReference) {
+  const size_t original = NumWorkers();
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"rmat", GenerateRmat(1u << 14, 1u << 16, 11)},
+      {"grid", GenerateGrid(96, 96)}};
+  for (const auto& [name, g] : graphs) {
+    const CompressedGraph coded = CompressedGraph::Encode(g);
+    const NodeId n = g.num_nodes();
+    for (const KOutVariant variant :
+         {KOutVariant::kAfforest, KOutVariant::kPure, KOutVariant::kHybrid,
+          KOutVariant::kMaxDegree}) {
+      for (const uint32_t k : {1u, 2u, 5u}) {
+        KOutOptions options;
+        options.variant = variant;
+        options.k = k;
+        const std::vector<Edge> picks = ReferencePicks(g, options);
+        const std::set<Edge> pick_set(picks.begin(), picks.end());
+        const std::vector<NodeId> expected =
+            SequentialComponents(EdgeList{n, picks});
+        const NodeId clusters = CountComponents(expected);
+        for (const size_t workers : {1u, 4u}) {
+          SetNumWorkers(workers);
+          const std::string context =
+              name + "/" + std::string(ToString(variant)) + "/k=" +
+              std::to_string(k) + "/workers=" + std::to_string(workers);
+          std::vector<NodeId> labels = IdentityLabels(n);
+          KOutSample(g, options, labels);
+          EXPECT_TRUE(SameLabels(labels, expected)) << context << "/csr";
+          labels = IdentityLabels(n);
+          KOutSampleT(coded, options, labels);
+          EXPECT_TRUE(SameLabels(labels, expected))
+              << context << "/compressed";
+
+          // Forest form: one slot per sampled link, each slot a sampled
+          // graph edge, and the slots alone rebuild the clusters.
+          std::vector<Edge> slots(n, kEmptySlot);
+          labels = IdentityLabels(n);
+          KOutSampleForest(g, options, labels, slots);
+          EXPECT_TRUE(SameLabels(labels, expected)) << context << "/forest";
+          std::vector<Edge> forest;
+          for (const Edge& e : slots) {
+            if (e == kEmptySlot) continue;
+            forest.push_back(e);
+            const auto nbrs = g.neighbors(e.u);
+            ASSERT_TRUE(std::find(nbrs.begin(), nbrs.end(), e.v) !=
+                            nbrs.end() &&
+                        pick_set.count(e))
+                << context << ": slot " << e.u << "-" << e.v
+                << " is not a sampled graph edge";
+          }
+          EXPECT_EQ(forest.size(), n - clusters) << context << "/forest";
+          EXPECT_TRUE(
+              SameLabels(SequentialComponents(EdgeList{n, forest}), expected))
+              << context << "/forest";
+        }
+      }
+    }
+  }
+  SetNumWorkers(original);
 }
 
 TEST(KOutSampling, LargerKImprovesCoverage) {
@@ -150,6 +283,35 @@ TEST(MeasureSamplingQuality, IdentityAndFullLabelings) {
   const SamplingQuality qf = MeasureSamplingQuality(g, full);
   EXPECT_DOUBLE_EQ(qf.coverage, 1.0);
   EXPECT_DOUBLE_EQ(qf.intercomponent_fraction, 0.0);
+
+  // A sampled-looking labeling: a giant cluster labelled 0 and, on every
+  // 16th vertex, small clusters of up to four members, each labelled by its
+  // minimum. Checked against a sequential count on 1 and 4 workers.
+  const size_t original = NumWorkers();
+  const Graph rmat = GenerateRmat(1u << 16, 1u << 18, 17);
+  const NodeId n = rmat.num_nodes();
+  std::vector<NodeId> giant(n);
+  for (NodeId v = 0; v < n; ++v) giant[v] = v % 16 == 0 ? v - v % 64 : 0;
+  std::vector<NodeId> counts(n, 0);
+  for (const NodeId label : giant) ++counts[label];
+  EdgeId inter = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    for (const NodeId v : rmat.neighbors(u)) inter += giant[u] != giant[v];
+  }
+  const NodeId clusters = static_cast<NodeId>(
+      std::count_if(counts.begin(), counts.end(), [](NodeId c) { return c; }));
+  const NodeId largest = *std::max_element(counts.begin(), counts.end());
+  for (const size_t workers : {1u, 4u}) {
+    SetNumWorkers(workers);
+    const SamplingQuality q = MeasureSamplingQuality(rmat, giant);
+    EXPECT_EQ(q.num_clusters, clusters) << "workers=" << workers;
+    EXPECT_DOUBLE_EQ(q.coverage, static_cast<double>(largest) / n)
+        << "workers=" << workers;
+    EXPECT_DOUBLE_EQ(q.intercomponent_fraction,
+                     static_cast<double>(inter) / rmat.num_arcs())
+        << "workers=" << workers;
+  }
+  SetNumWorkers(original);
 }
 
 TEST(IdentifyFrequent, ExactFindsMajorityLabel) {
