@@ -7,9 +7,8 @@
 //
 // Transports (--transport=inproc|socket|all):
 //
-//   inproc — N client threads call the façade directly, for both serving
-//   modes (snapshot: epoch-published immutable snapshots, wait-free reads;
-//   shared-lock: the baseline, shared lock + lazy Θ(n) refresh per batch).
+//   inproc — N client threads call the façade directly: wait-free reads
+//   of its epoch-published immutable snapshots.
 //
 //   socket — the same open-loop schedule driven through a live
 //   connectit_server over a Unix-domain socket by K forked client
@@ -29,13 +28,14 @@
 // not hidden by a slow closed-loop client (the coordinated-omission trap).
 // Clients partition one logical arrival schedule by index (the stateless
 // Rng/Zipfian samplers make request i a pure function of i), so the
-// replayed trace is identical across modes, transports, and runs; socket
+// replayed trace is identical across transports and runs; socket
 // clients share the schedule origin through a CLOCK_REALTIME epoch the
 // parent pins before forking.
 //
-// Reports achieved throughput and p50/p99/p999 latency per mix × mode, and
-// writes machine-readable BENCH_serving.json (schema checked in CI by
-// tools/check_bench_serving.py).
+// Reports achieved throughput and p50/p99/p999 latency per mix ×
+// transport, and writes machine-readable BENCH_serving.json (schema checked
+// in CI by tools/check_bench_serving.py) with the machine's nproc and the
+// worker pool's size.
 //
 // Flags: --smoke (tiny run for CI), --out=PATH (default BENCH_serving.json),
 //        --readers=N (default 4), --transport=inproc|socket|all (default
@@ -63,6 +63,7 @@
 #include "src/core/connectivity_index.h"
 #include "src/graph/generators.h"
 #include "src/parallel/random.h"
+#include "src/parallel/thread_pool.h"
 #include "src/serve/client.h"
 #include "src/serve/server.h"
 
@@ -86,14 +87,13 @@ struct MixConfig {
 struct RunConfig {
   NodeId nodes = 0;
   size_t readers = 4;
-  size_t ops = 0;                // total read requests per mix x mode
+  size_t ops = 0;                // total read requests per mix x transport
   double offered_rate = 0;       // requests/second across all readers
   size_t warmup_ops = 0;         // executed, not measured
 };
 
 struct MixResult {
   std::string mix;
-  std::string mode;
   std::string transport = "inproc";
   size_t client_processes = 0;   // socket transport only
   double offered_rate = 0;
@@ -133,18 +133,18 @@ double ArrivalTime(size_t i, double rate, bool bursty) {
          static_cast<double>(within) / kPeriodOps * (period_s / 10.0);
 }
 
-MixResult RunMix(const MixConfig& mix, ServingMode mode, const RunConfig& cfg,
+MixResult RunMix(const MixConfig& mix, const RunConfig& cfg,
                  const EdgeList& stream) {
   const size_t bulk = stream.size() / 2;
   EdgeList base;
   base.num_nodes = cfg.nodes;
   base.edges.assign(stream.edges.begin(), stream.edges.begin() + bulk);
 
-  Connectivity index(Connectivity::Spec().Serving(mode));
+  Connectivity index;
   index.Build(GraphHandle(base)).Stream();
 
   // Request i's keys and kind are pure functions of i: identical traces
-  // across modes.
+  // across transports.
   const Rng op_rng(/*seed=*/7);
   const Zipfian zipf(cfg.nodes, /*theta=*/0.99, /*seed=*/11);
   auto key = [&](size_t i, size_t salt) -> NodeId {
@@ -172,8 +172,8 @@ MixResult RunMix(const MixConfig& mix, ServingMode mode, const RunConfig& cfg,
     }
   };
 
-  // Warmup (unmeasured, closed-loop) so first-touch costs (lazy refresh,
-  // page faults) do not land in the measured window.
+  // Warmup (unmeasured, closed-loop) so first-touch costs (page faults)
+  // do not land in the measured window.
   for (size_t i = 0; i < cfg.warmup_ops; ++i) execute(i);
 
   // Writer: cycles the held-out tail as insert batches until readers
@@ -254,7 +254,6 @@ MixResult RunMix(const MixConfig& mix, ServingMode mode, const RunConfig& cfg,
 
   MixResult result;
   result.mix = mix.name;
-  result.mode = ToString(mode);
   result.offered_rate = cfg.offered_rate;
   result.ops = merged.size();
   const double elapsed = std::chrono::duration<double>(end - t0).count();
@@ -420,7 +419,7 @@ MixResult RunMixSocket(const MixConfig& mix, const RunConfig& cfg,
   base.num_nodes = cfg.nodes;
   base.edges.assign(stream.edges.begin(), stream.edges.begin() + bulk);
 
-  Connectivity index;  // kSnapshot serving: the socket read path
+  Connectivity index;
   index.Build(GraphHandle(base)).Stream();
 
   const std::string sock_path = "/tmp/connectit_bench_" +
@@ -569,7 +568,6 @@ MixResult RunMixSocket(const MixConfig& mix, const RunConfig& cfg,
 
   MixResult result;
   result.mix = mix.name;
-  result.mode = ToString(ServingMode::kSnapshot);
   result.transport = "socket";
   result.client_processes = client_procs;
   result.offered_rate = cfg.offered_rate;
@@ -598,22 +596,27 @@ void WriteJson(const char* path, const RunConfig& cfg,
   std::fprintf(f, "  \"nodes\": %llu,\n",
                static_cast<unsigned long long>(cfg.nodes));
   std::fprintf(f, "  \"readers\": %zu,\n", cfg.readers);
+  std::fprintf(f, "  \"nproc\": %u,\n",
+               std::max(1u, std::thread::hardware_concurrency()));
+  std::fprintf(f, "  \"pool_workers\": %zu,\n", NumWorkers());
   std::fprintf(f, "  \"mixes\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const MixResult& r = results[i];
+    // Every entry reads published snapshots. The constant "mode" keeps the
+    // mix/mode/transport entry names of the committed trajectory stable.
     std::fprintf(
         f,
-        "    {\"mix\": \"%s\", \"mode\": \"%s\", \"transport\": \"%s\", "
+        "    {\"mix\": \"%s\", \"mode\": \"snapshot\", \"transport\": \"%s\", "
         "\"client_processes\": %zu, "
         "\"offered_ops_per_sec\": %.1f, \"achieved_ops_per_sec\": %.1f, "
         "\"ops\": %zu, \"batches\": %zu, \"edges_ingested\": %zu, "
         "\"edges_erased\": %zu, "
         "\"p50_us\": %.2f, \"p99_us\": %.2f, \"p999_us\": %.2f, "
         "\"max_us\": %.2f}%s\n",
-        r.mix.c_str(), r.mode.c_str(), r.transport.c_str(),
-        r.client_processes, r.offered_rate, r.achieved_rate, r.ops,
-        r.batches, r.edges_ingested, r.edges_erased, r.p50_us, r.p99_us,
-        r.p999_us, r.max_us, i + 1 < results.size() ? "," : "");
+        r.mix.c_str(), r.transport.c_str(), r.client_processes,
+        r.offered_rate, r.achieved_rate, r.ops, r.batches, r.edges_ingested,
+        r.edges_erased, r.p50_us, r.p99_us, r.p999_us, r.max_us,
+        i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -721,29 +724,25 @@ int main(int argc, char** argv) {
        /*erase_fraction=*/0.5},
   };
 
-  PrintTitle("Serving under open-loop traffic: snapshot vs shared-lock");
+  PrintTitle("Serving under open-loop traffic");
   std::printf("%u nodes, %zu readers, offered %.0f ops/s, %zu ops/mix\n",
               cfg.nodes, cfg.readers, cfg.offered_rate, cfg.ops);
-  std::printf("%-12s %-12s %-8s %12s %12s %10s %10s %10s %8s\n", "Mix",
-              "Mode", "Transp", "Offered/s", "Achieved/s", "p50(us)",
-              "p99(us)", "p999(us)", "Batches");
-  PrintRule(110);
+  std::printf("%-12s %-8s %12s %12s %10s %10s %10s %8s\n", "Mix", "Transp",
+              "Offered/s", "Achieved/s", "p50(us)", "p99(us)", "p999(us)",
+              "Batches");
+  PrintRule(97);
 
   std::vector<MixResult> results;
   auto report = [](const MixResult& r) {
-    std::printf("%-12s %-12s %-8s %12.0f %12.0f %10.1f %10.1f %10.1f %8zu\n",
-                r.mix.c_str(), r.mode.c_str(), r.transport.c_str(),
-                r.offered_rate, r.achieved_rate, r.p50_us, r.p99_us,
-                r.p999_us, r.batches);
+    std::printf("%-12s %-8s %12.0f %12.0f %10.1f %10.1f %10.1f %8zu\n",
+                r.mix.c_str(), r.transport.c_str(), r.offered_rate,
+                r.achieved_rate, r.p50_us, r.p99_us, r.p999_us, r.batches);
   };
   for (const MixConfig& mix : mixes) {
     if (transport == "inproc" || transport == "all") {
-      for (const ServingMode mode :
-           {ServingMode::kSharedLock, ServingMode::kSnapshot}) {
-        const MixResult r = RunMix(mix, mode, cfg, stream);
-        report(r);
-        results.push_back(r);
-      }
+      const MixResult r = RunMix(mix, cfg, stream);
+      report(r);
+      results.push_back(r);
     }
     if (transport == "socket" || transport == "all") {
       const MixResult r =

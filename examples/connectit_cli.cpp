@@ -340,18 +340,16 @@ int RunStreamMode(GraphRepresentation repr, size_t num_shards,
                                                 builds_before));
   }
 
-  // Serving-layer counters (src/parallel/epoch.h): under the default
-  // snapshot mode every Build/Stream/Insert publishes once, each
-  // publication opens a grace period, and replaced labelings drain through
-  // deferred reclamation — the backlog is whatever a pinned reader still
-  // holds (0 here: the CLI holds no snapshots across batches).
+  // Serving-layer counters (src/parallel/epoch.h): every Build/Stream/
+  // Insert/Erase publishes once, each publication opens a grace period,
+  // and replaced labelings drain through deferred reclamation — the
+  // backlog is whatever a pinned reader still holds (0 here: the CLI holds
+  // no snapshots across batches).
   {
     const stats::ServingSnapshot s = stats::ReadServing();
     std::printf(
-        "serving (%s): %llu snapshot publications, %llu epoch advances, "
-        "%llu retired / %llu reclaimed (backlog %llu), "
-        "%llu lazy label refreshes\n",
-        ToString(spec.serving()),
+        "serving: %llu snapshot publications, %llu epoch advances, "
+        "%llu retired / %llu reclaimed (backlog %llu)\n",
         static_cast<unsigned long long>(s.snapshot_publications -
                                         serving_before.snapshot_publications),
         static_cast<unsigned long long>(s.epoch_advances -
@@ -362,9 +360,7 @@ int RunStreamMode(GraphRepresentation repr, size_t num_shards,
                                         serving_before.snapshots_reclaimed),
         static_cast<unsigned long long>(
             (s.snapshots_retired - serving_before.snapshots_retired) -
-            (s.snapshots_reclaimed - serving_before.snapshots_reclaimed)),
-        static_cast<unsigned long long>(s.label_refreshes -
-                                        serving_before.label_refreshes));
+            (s.snapshots_reclaimed - serving_before.snapshots_reclaimed)));
   }
   if (report_numa) PrintLocality(locality_before);
 

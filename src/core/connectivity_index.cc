@@ -292,14 +292,6 @@ GraphHandle ConvertTo(const GraphHandle& in, GraphRepresentation target,
 
 }  // namespace
 
-const char* ToString(ServingMode mode) {
-  switch (mode) {
-    case ServingMode::kSnapshot: return "snapshot";
-    case ServingMode::kSharedLock: return "shared-lock";
-  }
-  return "?";
-}
-
 // ---- Snapshot ----
 
 Snapshot::~Snapshot() { Release(); }
@@ -308,21 +300,15 @@ void Snapshot::Release() {
   const SnapshotData* data = data_;
   data_ = nullptr;
   if (data == nullptr) return;
-  // Read `published` before the decrement: the instant our reference is
-  // dropped, a concurrent reclaim pass may observe refs==0 and free the
-  // block, so no field may be touched after fetch_sub.
-  const bool published = data->published;
+  // The instant our reference is dropped, a concurrent reclaim pass may
+  // observe refs==0 and free the block, so no field may be touched after
+  // fetch_sub.
   if (data->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    if (published) {
-      // The block sits in the epoch domain's retire list (its publisher
-      // unpublished it); we just dropped the last reference keeping it
-      // there, so sweep now instead of waiting for the next publication.
-      epoch::Domain::Global().TryReclaim();
-    } else {
-      // On-demand (kSharedLock-mode) snapshot: never published, owned by
-      // its handles alone.
-      delete data;
-    }
+    // Every handle pins a published block. If its publisher has replaced
+    // it, it sits in the epoch domain's retire list and we just dropped
+    // the last reference keeping it there: sweep now instead of waiting
+    // for the next publication.
+    epoch::Domain::Global().TryReclaim();
   }
 }
 
@@ -420,9 +406,9 @@ Connectivity::Connectivity(Spec spec)
                  spec_.algorithm().ToString().c_str());
     std::abort();
   }
-  // Head is never null under snapshot serving: reads before the first
-  // Build serve the empty labeling, exactly like the shared-lock path.
-  if (snapshot_serving()) PublishFullLocked({});
+  // Head is never null: reads before the first Build serve the empty
+  // labeling.
+  PublishFullLocked({});
 }
 
 Connectivity::~Connectivity() { RetireSnapshot(); }
@@ -432,8 +418,6 @@ Connectivity::Connectivity(Connectivity&& other) noexcept {
   spec_ = std::move(other.spec_);
   variant_ = other.variant_;  // registry storage is static; stays valid
   graph_ = std::move(other.graph_);
-  labels_ = std::move(other.labels_);
-  labels_stale_ = other.labels_stale_;
   built_ = other.built_;
   streaming_ = std::move(other.streaming_);
   forest_ = std::move(other.forest_);
@@ -444,13 +428,11 @@ Connectivity::Connectivity(Connectivity&& other) noexcept {
   pages_ = std::move(other.pages_);
   members_ = std::move(other.members_);
   other.built_ = false;
-  other.labels_stale_ = false;
-  other.labels_.clear();
   other.insert_journal_.clear();
   other.graph_ = GraphHandle();
   // The moved-from index reverts to un-built but must keep serving (its
   // spec stays usable): republish an empty labeling.
-  if (other.snapshot_serving()) other.PublishFullLocked({});
+  other.PublishFullLocked({});
 }
 
 Connectivity& Connectivity::operator=(Connectivity&& other) noexcept {
@@ -460,8 +442,6 @@ Connectivity& Connectivity::operator=(Connectivity&& other) noexcept {
     spec_ = std::move(other.spec_);
     variant_ = other.variant_;
     graph_ = std::move(other.graph_);
-    labels_ = std::move(other.labels_);
-    labels_stale_ = other.labels_stale_;
     built_ = other.built_;
     streaming_ = std::move(other.streaming_);
     forest_ = std::move(other.forest_);
@@ -472,18 +452,15 @@ Connectivity& Connectivity::operator=(Connectivity&& other) noexcept {
     pages_ = std::move(other.pages_);
     members_ = std::move(other.members_);
     other.built_ = false;
-    other.labels_stale_ = false;
-    other.labels_.clear();
     other.insert_journal_.clear();
     other.graph_ = GraphHandle();
-    if (other.snapshot_serving()) other.PublishFullLocked({});
+    other.PublishFullLocked({});
   }
   return *this;
 }
 
 void Connectivity::SwapInLocked(SnapshotData* data) {
   publish_seq_ = data->version;
-  data->published = true;
   SnapshotData* old = snapshot_.exchange(data);  // seq_cst: pairs with the
   // reader-side pin fence (see epoch.h's safety argument).
   stats::RecordSnapshotPublication();
@@ -585,13 +562,11 @@ Connectivity& Connectivity::Build(const GraphHandle& graph) {
   std::vector<NodeId> labels = variant_->run(prepared, spec_.sampling());
   std::unique_lock<std::shared_mutex> lock(mu_);
   graph_ = std::move(prepared);
-  labels_ = std::move(labels);
-  labels_stale_ = false;
   built_ = true;
   streaming_.reset();
   forest_.reset();
   insert_journal_.clear();
-  if (snapshot_serving()) PublishFullLocked(labels_);
+  PublishFullLocked(labels);
   return *this;
 }
 
@@ -602,23 +577,15 @@ Connectivity& Connectivity::Stream() {
     DieF("Connectivity::Stream: the configured variant has no streaming "
          "form (check variant().supports_streaming)");
   }
-  // A re-Stream after Inserts must seed from the post-batch labeling, not
-  // a stale snapshot.
-  if (labels_stale_) {
-    labels_ = streaming_->Labels();
-    labels_stale_ = false;
-  }
-  // Adopt the static pass's labeling through the registry's seed seam —
-  // the FromStatic handoff without re-running the finish. labels_ moves
-  // into the seed (no n-sized copies on the handoff path); the served
-  // snapshot refreshes to the adopted (normalized) form on the next read.
-  streaming_ =
-      variant_->make_streaming(StreamingSeed::FromLabels(std::move(labels_)));
-  labels_.clear();
-  labels_stale_ = true;
-  // Publish the adopted (min-root normalized) labeling so snapshot reads
-  // switch to the streaming structure's representative choice at once.
-  if (snapshot_serving()) PublishFullLocked(streaming_->Labels());
+  // Adopt the published labeling (current after any Build, Insert or
+  // Erase) through the registry's seed seam: the FromStatic handoff
+  // without re-running the finish.
+  const SnapshotData& head = *snapshot_.load(std::memory_order_relaxed);
+  streaming_ = variant_->make_streaming(
+      StreamingSeed::FromLabels(Materialize(head.labels, head.num_nodes)));
+  // Publish the adopted (min-root normalized) labeling so reads switch to
+  // the streaming structure's representative choice at once.
+  PublishFullLocked(streaming_->Labels());
   return *this;
 }
 
@@ -629,12 +596,11 @@ Connectivity& Connectivity::Stream(NodeId num_nodes) {
          "form (check variant().supports_streaming)");
   }
   streaming_ = variant_->make_streaming(StreamingSeed::Cold(num_nodes));
-  labels_stale_ = true;
   graph_ = GraphHandle();
   built_ = false;  // no static graph behind this state
   forest_.reset();
   insert_journal_.clear();
-  if (snapshot_serving()) PublishFullLocked(streaming_->Labels());
+  PublishFullLocked(streaming_->Labels());
   return *this;
 }
 
@@ -659,14 +625,10 @@ std::vector<uint8_t> Connectivity::Insert(const std::vector<Edge>& updates,
     insert_journal_.insert(insert_journal_.end(), updates.begin(),
                            updates.end());
   }
-  if (snapshot_serving()) {
-    // Readers switch labelings at the pointer swap — never mid-batch.
-    const uint64_t publish_start_us = SteadyNowUs();
-    PublishInsertLocked(updates);
-    stats::RecordPublicationCost(SteadyNowUs() - publish_start_us);
-  }
-  // Mutator-side staging refreshes lazily (shared-lock reads, re-Stream).
-  labels_stale_ = true;
+  // Readers switch labelings at the pointer swap — never mid-batch.
+  const uint64_t publish_start_us = SteadyNowUs();
+  PublishInsertLocked(updates);
+  stats::RecordPublicationCost(SteadyNowUs() - publish_start_us);
   return results;
 }
 
@@ -711,18 +673,15 @@ std::vector<uint8_t> Connectivity::Erase(const std::vector<Edge>& updates,
   ParallelFor(0, queries.size(), [&](size_t i) {
     results[i] = labels[queries[i].u] == labels[queries[i].v] ? 1 : 0;
   });
-  if (snapshot_serving()) {
-    // Published before Erase returns, like Insert: a split rebuilds the
-    // partition; otherwise the same pages go out under a new version.
-    if (batch.labels_changed) {
-      PublishFullLocked(labels);
-    } else {
-      SwapInLocked(ShareSnapshotData(*snapshot_.load(std::memory_order_relaxed),
-                                     next_version())
-                       .release());
-    }
+  // Published before Erase returns, like Insert: a split rebuilds the
+  // partition; otherwise the same pages go out under a new version.
+  if (batch.labels_changed) {
+    PublishFullLocked(labels);
+  } else {
+    SwapInLocked(ShareSnapshotData(*snapshot_.load(std::memory_order_relaxed),
+                                   next_version())
+                     .release());
   }
-  labels_stale_ = true;
   return results;
 }
 
@@ -737,82 +696,44 @@ SpanningForestResult Connectivity::SpanningForest() const {
 }
 
 NodeId Connectivity::Component(NodeId v) const {
-  if (snapshot_serving()) {
-    epoch::Domain::Guard guard;
-    return snapshot_.load(std::memory_order_acquire)->Label(v);
-  }
-  return ReadLabels(
-      [v](const std::vector<NodeId>& labels) { return labels.at(v); });
+  epoch::Domain::Guard guard;
+  return snapshot_.load(std::memory_order_acquire)->Label(v);
 }
 
 bool Connectivity::SameComponent(NodeId u, NodeId v) const {
-  if (snapshot_serving()) {
-    epoch::Domain::Guard guard;
-    const SnapshotData* data = snapshot_.load(std::memory_order_acquire);
-    return data->Label(u) == data->Label(v);
-  }
-  return ReadLabels([u, v](const std::vector<NodeId>& labels) {
-    return labels.at(u) == labels.at(v);
-  });
+  epoch::Domain::Guard guard;
+  const SnapshotData* data = snapshot_.load(std::memory_order_acquire);
+  return data->Label(u) == data->Label(v);
 }
 
 NodeId Connectivity::NumComponents() const {
-  if (snapshot_serving()) {
-    epoch::Domain::Guard guard;
-    return snapshot_.load(std::memory_order_acquire)->num_components;
-  }
-  return ReadLabels(
-      [](const std::vector<NodeId>& labels) { return CountComponents(labels); });
+  epoch::Domain::Guard guard;
+  return snapshot_.load(std::memory_order_acquire)->num_components;
 }
 
 std::vector<NodeId> Connectivity::ComponentSizes() const {
-  if (snapshot_serving()) {
-    epoch::Domain::Guard guard;
-    return MaterializeSizes(*snapshot_.load(std::memory_order_acquire));
-  }
-  return ReadLabels([](const std::vector<NodeId>& labels) {
-    return connectit::ComponentSizes(labels);
-  });
+  epoch::Domain::Guard guard;
+  return MaterializeSizes(*snapshot_.load(std::memory_order_acquire));
 }
 
 std::vector<NodeId> Connectivity::Labels() const {
-  if (snapshot_serving()) {
-    epoch::Domain::Guard guard;
-    const SnapshotData* data = snapshot_.load(std::memory_order_acquire);
-    return Materialize(data->labels, data->num_nodes);
-  }
-  return ReadLabels([](const std::vector<NodeId>& labels) { return labels; });
+  epoch::Domain::Guard guard;
+  const SnapshotData* data = snapshot_.load(std::memory_order_acquire);
+  return Materialize(data->labels, data->num_nodes);
 }
 
 Snapshot Connectivity::Acquire() const {
-  if (snapshot_serving()) {
-    epoch::Domain::Guard guard;
-    const SnapshotData* data = snapshot_.load(std::memory_order_acquire);
-    // The guard keeps the block alive across this increment even if a
-    // concurrent publication just retired it; afterwards the reference
-    // does.
-    data->refs.fetch_add(1, std::memory_order_acq_rel);
-    return Snapshot(data);
-  }
-  // Baseline mode has no published block: materialize a one-off,
-  // unpublished snapshot under the lock (Θ(n)).
-  return ReadLabels([](const std::vector<NodeId>& labels) {
-    SnapshotData* data =
-        MakeSnapshotData(labels, std::make_shared<PageStore>(), /*version=*/0);
-    RetirePages(*data, PageStore::kNeverReplaced);
-    data->refs.store(1, std::memory_order_relaxed);
-    return Snapshot(data);
-  });
+  epoch::Domain::Guard guard;
+  const SnapshotData* data = snapshot_.load(std::memory_order_acquire);
+  // The guard keeps the block alive across this increment even if a
+  // concurrent publication just retired it; afterwards the reference does.
+  data->refs.fetch_add(1, std::memory_order_acq_rel);
+  return Snapshot(data);
 }
 
 NodeId Connectivity::num_nodes() const {
-  if (snapshot_serving()) {
-    epoch::Domain::Guard guard;
-    return snapshot_.load(std::memory_order_acquire)->num_nodes;
-  }
-  return ReadLabels([](const std::vector<NodeId>& labels) {
-    return static_cast<NodeId>(labels.size());
-  });
+  epoch::Domain::Guard guard;
+  return snapshot_.load(std::memory_order_acquire)->num_nodes;
 }
 
 GraphRepresentation Connectivity::representation() const {

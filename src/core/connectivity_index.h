@@ -21,22 +21,22 @@
 //
 // Lifecycle: Build runs the configured variant's static pass on the graph
 // (converted to the Spec's representation if one was requested); Stream
-// seeds the variant's own streaming structure from the built labeling
+// seeds the variant's own streaming structure from the published labeling
 // through the registry's StreamingSeed seam (the same validation and
 // min-rooted normalization as StreamingSeed::FromStatic, without re-running
 // the pass); Insert applies §3.5 batches.
 //
-// Serving model (ServingMode::kSnapshot, the default): every mutation
-// (Build, Stream, Insert, Erase) finishes by *publishing* an immutable,
-// fully path-compressed Snapshot of the labeling through one atomic pointer
-// swap. Reads (Component, SameComponent, NumComponents, ComponentSizes,
-// Labels) dereference the published pointer inside an epoch guard
-// (src/parallel/epoch.h) and answer by a page-table lookup — wait-free, no
-// lock, no parent-chasing, scaling to all cores while an ingest thread
-// applies batches. A reader can never observe a half-applied batch: the
-// pointer swaps only between complete labelings. Replaced snapshots are
-// retired into the epoch domain and freed once no reader can hold them
-// (and, for Acquire'd snapshots, once every handle is released).
+// Serving model: every mutation (Build, Stream, Insert, Erase) finishes by
+// *publishing* an immutable, fully path-compressed Snapshot of the
+// labeling through one atomic pointer swap. Reads (Component,
+// SameComponent, NumComponents, ComponentSizes, Labels) dereference the
+// published pointer inside an epoch guard (src/parallel/epoch.h) and
+// answer by a page-table lookup — wait-free, no lock, no parent-chasing,
+// scaling to all cores while an ingest thread applies batches. A reader
+// can never observe a half-applied batch: the pointer swaps only between
+// complete labelings. Replaced snapshots are retired into the epoch domain
+// and freed once no reader can hold them (and, for Acquire'd snapshots,
+// once every handle is released).
 //
 // A snapshot is a table of fixed-size label and size pages. Insert
 // publishes in time set by the batch, not by n: it groups the
@@ -45,18 +45,11 @@
 // pages, and shares every other page with the previous snapshot.
 // Small-to-large bounds the relabelling over any insert sequence at
 // O(n log n). Build, Stream and an Erase that splits a component rebuild
-// the partition and publish it in one Θ(n) pass.
-//
-// ServingMode::kSharedLock keeps the pre-snapshot design as an A/B
-// baseline (bench_serving measures both): readers share a lock against
-// exclusive mutators, and the served labeling is refreshed lazily — an
-// Insert only marks it stale, and the first read afterwards pays the Θ(n)
-// refresh once (the stale flag is re-checked under the exclusive lock, so
-// racing readers cannot duplicate the refresh; stats::ReadServing().
-// label_refreshes counts them).
+// the partition and publish it in one Θ(n) pass. The published snapshot is
+// the index's only copy of the served labeling.
 //
 // Spec is a builder: algorithm (typed descriptor or registry-name string),
-// sampling scheme, target representation, shard count, serving mode.
+// sampling scheme, target representation, shard count.
 // Spec::Auto(graph, streaming) inspects graph traits (density, input
 // representation, whether streaming is requested) and picks a variant +
 // representation per the paper's guidance.
@@ -80,12 +73,6 @@
 namespace connectit {
 
 class DynamicForest;
-
-// How the read methods are served. kSnapshot is the default; kSharedLock
-// is kept as the measured baseline (see the header comment).
-enum class ServingMode : uint8_t { kSnapshot, kSharedLock };
-
-const char* ToString(ServingMode mode);
 
 namespace internal {
 
@@ -121,8 +108,7 @@ struct SnapshotData {
   // write for a representative it merges away.
   std::vector<Page*> sizes;
   std::shared_ptr<PageStore> store;  // owns the pages
-  uint64_t version = 0;   // publication sequence number of this index
-  bool published = false;  // true = lifetime managed by the epoch domain
+  uint64_t version = 0;  // publication sequence number of this index
   mutable std::atomic<uint64_t> refs{0};  // outstanding Snapshot handles
 
   NodeId Label(NodeId v) const {
@@ -158,8 +144,12 @@ class Snapshot {
   NodeId num_nodes() const {
     return data_ == nullptr ? 0 : data_->num_nodes;
   }
-  NodeId Component(NodeId v) const { return data_->Label(v); }
+  NodeId Component(NodeId v) const {
+    if (data_ == nullptr) internal::ThrowNodeOutOfRange(v, 0);
+    return data_->Label(v);
+  }
   bool SameComponent(NodeId u, NodeId v) const {
+    if (data_ == nullptr) internal::ThrowNodeOutOfRange(u, 0);
     return data_->Label(u) == data_->Label(v);
   }
   NodeId NumComponents() const {
@@ -168,6 +158,7 @@ class Snapshot {
   // Size of the component whose representative is `rep` (0 if rep
   // represents none).
   NodeId ComponentSize(NodeId rep) const {
+    if (data_ == nullptr) internal::ThrowNodeOutOfRange(rep, 0);
     return data_->Label(rep) == rep ? data_->Size(rep) : 0;
   }
   // Materialized copies (Θ(n)): every ComponentSize indexed by vertex, and
@@ -176,7 +167,7 @@ class Snapshot {
   std::vector<NodeId> Labels() const;
 
   // Publication sequence number: strictly increasing per Connectivity
-  // publication, 0 for on-demand (kSharedLock-mode) snapshots.
+  // publication, 0 for an empty handle.
   uint64_t version() const { return data_ == nullptr ? 0 : data_->version; }
 
  private:
@@ -193,7 +184,7 @@ class Connectivity {
   class Spec {
    public:
     // Default: the paper's recommended all-around variant (DefaultVariant),
-    // no sampling, keep the input graph's representation, snapshot serving.
+    // no sampling, keep the input graph's representation.
     Spec() : algorithm_(DefaultVariant().descriptor) {}
 
     // Picks algorithm, sampling, and representation from the graph's
@@ -236,28 +227,18 @@ class Connectivity {
       return *this;
     }
 
-    // Read-path discipline; see the header comment. kSnapshot (default):
-    // wait-free epoch-published snapshots. kSharedLock: the lock-based
-    // baseline with lazy refresh.
-    Spec& Serving(ServingMode mode) {
-      serving_ = mode;
-      return *this;
-    }
-
     const VariantDescriptor& algorithm() const { return algorithm_; }
     const SamplingConfig& sampling() const { return sampling_; }
     std::optional<GraphRepresentation> representation() const {
       return representation_;
     }
     size_t shards() const { return shards_; }
-    ServingMode serving() const { return serving_; }
 
    private:
     VariantDescriptor algorithm_;
     SamplingConfig sampling_;
     std::optional<GraphRepresentation> representation_;
     size_t shards_ = 0;
-    ServingMode serving_ = ServingMode::kSnapshot;
   };
 
   // Resolves the Spec's descriptor against the registry; dies if the
@@ -293,10 +274,10 @@ class Connectivity {
   Connectivity& Build(const GraphHandle& graph);
 
   // Hands off to batch-incremental mode (paper §3.5): seeds the variant's
-  // streaming structure from the built labeling via the registry's
-  // StreamingSeed seam. Requires a prior Build and a streaming-capable
-  // variant (dies otherwise — query variant().supports_streaming first if
-  // unsure).
+  // streaming structure from the published labeling (the built one, plus
+  // every Insert and Erase since) via the registry's StreamingSeed seam.
+  // Requires a prior Build and a streaming-capable variant (dies otherwise
+  // — query variant().supports_streaming first if unsure).
   Connectivity& Stream();
 
   // Cold-starts streaming over `num_nodes` isolated vertices, no static
@@ -308,10 +289,10 @@ class Connectivity {
 
   // Applies one batch of edge insertions and answers the batched
   // connectivity queries (one byte per query: 1 = connected after this
-  // batch). Batches serialize against each other; under kSnapshot serving
-  // the post-batch labeling is published before Insert returns, so every
-  // subsequent read sees it. The publication costs time in the batch, not
-  // in n (see the header comment).
+  // batch). Batches serialize against each other; the post-batch labeling
+  // is published before Insert returns, so every subsequent read sees it.
+  // The publication costs time in the batch, not in n (see the header
+  // comment).
   std::vector<uint8_t> Insert(const std::vector<Edge>& updates,
                               const std::vector<Edge>& queries = {});
 
@@ -331,8 +312,8 @@ class Connectivity {
   // (StreamingSeed::FromLabels) and the labeling republished in full — a
   // deletion with a surviving replacement changes no labels and no query
   // answer, and republishes the same pages under a new version. Erase
-  // publishes exactly once under kSnapshot serving, like Insert, and ticks
-  // the erase counters in stats::ReadServing().
+  // publishes exactly once, like Insert, and ticks the erase counters in
+  // stats::ReadServing().
   std::vector<uint8_t> Erase(const std::vector<Edge>& updates,
                              const std::vector<Edge>& queries = {});
 
@@ -342,8 +323,7 @@ class Connectivity {
   SpanningForestResult SpanningForest() const;
 
   // ---- thread-safe reads against the current labeling ----
-  // kSnapshot: wait-free (epoch guard + page-table lookup, no lock).
-  // kSharedLock: shared lock, lazy Θ(n) refresh after a batch.
+  // Wait-free: an epoch guard and a page-table lookup, no lock.
 
   // The component representative of v (vertices in the same component
   // report the same representative).
@@ -357,9 +337,7 @@ class Connectivity {
 
   // Pins the current labeling for multi-query consistency: every answer
   // from the returned Snapshot reflects the same batch prefix, no matter
-  // how many Inserts land while it is held. Wait-free under kSnapshot
-  // serving; under kSharedLock it materializes a one-off snapshot (Θ(n))
-  // under the lock.
+  // how many Inserts land while it is held. Wait-free.
   Snapshot Acquire() const;
 
   NodeId num_nodes() const;
@@ -394,45 +372,13 @@ class Connectivity {
   // current page (destructor, move-out).
   void RetireSnapshot();
 
-  bool snapshot_serving() const {
-    return spec_.serving() == ServingMode::kSnapshot;
-  }
-
-  // Runs fn(labels) under a shared lock, first refreshing the snapshot
-  // from the streaming structure (under the exclusive lock) if an Insert
-  // left it stale. Keeps reads free of the Theta(n) snapshot cost on the
-  // ingest path: batches just flip the stale bit, and the first read
-  // afterwards pays for the refresh once — the stale flag is re-checked
-  // after the exclusive lock is acquired, so readers racing for the
-  // refresh never run it twice (stats::ReadServing().label_refreshes
-  // counts actual refreshes; tests pin "one per batch").
-  template <typename F>
-  decltype(auto) ReadLabels(F&& fn) const {
-    {
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      if (!labels_stale_) return fn(labels_);
-    }
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    if (labels_stale_) {
-      labels_ = streaming_->Labels();
-      labels_stale_ = false;
-      stats::RecordLabelRefresh();
-    }
-    return fn(labels_);
-  }
-
   Spec spec_;
   const Variant* variant_;
 
+  // Serializes mutators. Label reads never take it; streaming(),
+  // representation() and SpanningForest() read under it shared.
   mutable std::shared_mutex mu_;
   GraphHandle graph_;  // the built graph, Spec representation
-  // Mutator-side labeling staging (empty before Build/Stream). Under
-  // kSharedLock serving this is also what reads serve; stale after an
-  // Insert until the next read refreshes it from streaming_. Under
-  // kSnapshot serving reads never touch it — it only carries the
-  // Build→Stream handoff.
-  mutable std::vector<NodeId> labels_;
-  mutable bool labels_stale_ = false;
   bool built_ = false;
   std::unique_ptr<StreamingConnectivity> streaming_;
 
@@ -445,17 +391,17 @@ class Connectivity {
   std::unique_ptr<DynamicForest> forest_;
   std::vector<Edge> insert_journal_;
 
-  // kSnapshot serving: the published labeling. Never null in that mode
-  // (an empty snapshot is published at construction); always null under
-  // kSharedLock. Swapped only under mu_; loaded lock-free by readers.
+  // The published labeling, the index's only copy of the served labels.
+  // Never null: an empty snapshot is published at construction and after
+  // a move-out. Swapped only under mu_; loaded lock-free by readers.
   std::atomic<internal::SnapshotData*> snapshot_{nullptr};
   uint64_t publish_seq_ = 0;
   // Frees the pages of snapshot_ and of every snapshot it replaced.
   std::shared_ptr<internal::PageStore> pages_;
-  // kSnapshot serving while streaming: one circular member list per
-  // component of the published labeling (members_[v] is the next vertex of
-  // v's component), so Insert walks exactly the components it relabels.
-  // Empty when not streaming.
+  // While streaming: one circular member list per component of the
+  // published labeling (members_[v] is the next vertex of v's component),
+  // so Insert walks exactly the components it relabels. Empty when not
+  // streaming.
   std::vector<NodeId> members_;
 };
 

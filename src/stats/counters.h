@@ -97,7 +97,6 @@ struct ServingSnapshot {
   uint64_t epoch_advances = 0;         // grace periods opened
   uint64_t snapshots_retired = 0;      // blocks handed to deferred reclaim
   uint64_t snapshots_reclaimed = 0;    // blocks actually freed
-  uint64_t label_refreshes = 0;        // shared-lock-mode lazy Θ(n) refreshes
   uint64_t publication_cost_us = 0;    // total µs Insert spent publishing
   // ---- batch-deletion path (Connectivity::Erase / DynamicForest) ----
   uint64_t erase_batches = 0;          // Erase calls applied
@@ -118,7 +117,6 @@ inline std::atomic<uint64_t> g_snapshot_publications{0};
 inline std::atomic<uint64_t> g_epoch_advances{0};
 inline std::atomic<uint64_t> g_snapshots_retired{0};
 inline std::atomic<uint64_t> g_snapshots_reclaimed{0};
-inline std::atomic<uint64_t> g_label_refreshes{0};
 inline std::atomic<uint64_t> g_publication_cost_us{0};
 inline std::atomic<uint64_t> g_erase_batches{0};
 inline std::atomic<uint64_t> g_edges_erased{0};
@@ -139,9 +137,6 @@ inline void RecordSnapshotRetired() {
 }
 inline void RecordSnapshotReclaimed() {
   internal::g_snapshots_reclaimed.fetch_add(1, std::memory_order_relaxed);
-}
-inline void RecordLabelRefresh() {
-  internal::g_label_refreshes.fetch_add(1, std::memory_order_relaxed);
 }
 // The measured cost of one Insert's publication.
 inline void RecordPublicationCost(uint64_t micros) {
@@ -175,8 +170,6 @@ inline ServingSnapshot ReadServing() {
       internal::g_snapshots_retired.load(std::memory_order_relaxed);
   s.snapshots_reclaimed =
       internal::g_snapshots_reclaimed.load(std::memory_order_relaxed);
-  s.label_refreshes =
-      internal::g_label_refreshes.load(std::memory_order_relaxed);
   s.publication_cost_us =
       internal::g_publication_cost_us.load(std::memory_order_relaxed);
   s.erase_batches = internal::g_erase_batches.load(std::memory_order_relaxed);
@@ -198,7 +191,6 @@ inline void ResetServing() {
   internal::g_epoch_advances.store(0, std::memory_order_relaxed);
   internal::g_snapshots_retired.store(0, std::memory_order_relaxed);
   internal::g_snapshots_reclaimed.store(0, std::memory_order_relaxed);
-  internal::g_label_refreshes.store(0, std::memory_order_relaxed);
   internal::g_publication_cost_us.store(0, std::memory_order_relaxed);
   internal::g_erase_batches.store(0, std::memory_order_relaxed);
   internal::g_edges_erased.store(0, std::memory_order_relaxed);

@@ -3,8 +3,8 @@
 // results of the direct registry calls it wraps — Build vs Variant::run,
 // Stream/Insert vs make_streaming(StreamingSeed)/ProcessBatch — and its
 // query methods must serve the same partition. Plus Spec semantics
-// (builder, Auto, representation conversion), lifecycle guards, and
-// concurrent reads during ingest.
+// (builder, Auto, representation conversion), lifecycle guards, re-Stream()
+// after Inserts and Erases, and concurrent reads during ingest.
 
 #include <atomic>
 #include <thread>
@@ -266,6 +266,71 @@ TEST(Connectivity, MoveTransfersBuiltState) {
   EXPECT_EQ(a.num_nodes(), 0u);
   a.Build(reps.csr);
   EXPECT_EQ(a.Labels(), labels);
+}
+
+// A re-Stream() after Inserts and a splitting Erase seeds from the
+// published labeling: Build, Stream, Insert, Erase, Stream again, Insert
+// more, Erase again. After every step the served labeling equals a static
+// recompute over the current edge set, under a strictly newer version.
+TEST(Connectivity, ReStreamAfterMutationsSeedsFromPublishedLabeling) {
+  // An RMAT core over [0, 256) and a path over [256, 320) that the first
+  // batch hangs off the core at 300, so every path edge is a bridge.
+  EdgeList base = GenerateRmatEdges(256, 1024, /*seed=*/31);
+  base.num_nodes = 512;
+  for (NodeId v = 257; v < 320; ++v) base.edges.push_back({v - 1, v});
+  const std::vector<Edge> batch1 = {{300, 0}, {320, 321}, {7, 400}};
+  const Edge cut1 = {280, 281};  // splits off [256, 280]
+  const std::vector<Edge> batch2 = {{256, 401}, {401, 402}, {321, 9}};
+  const Edge cut2 = {402, 401};  // splits off 402
+
+  for (const Variant* v : StreamingVariants()) {
+    for (const GraphRepresentation repr :
+         {GraphRepresentation::kCsr, GraphRepresentation::kCoo}) {
+      Connectivity index(
+          Connectivity::Spec().Algorithm(v->descriptor).Representation(repr));
+      EdgeList current = base;
+      uint64_t version = 0;
+      auto check = [&](const char* step) {
+        EXPECT_EQ(CanonicalizeLabels(index.Labels()),
+                  SequentialComponents(current))
+            << "variant=" << v->name << " repr=" << ToString(repr)
+            << " after " << step;
+        const uint64_t now = index.Acquire().version();
+        EXPECT_GT(now, version) << "variant=" << v->name << " after " << step;
+        version = now;
+      };
+      auto insert = [&](const std::vector<Edge>& batch) {
+        index.Insert(batch);
+        current.edges.insert(current.edges.end(), batch.begin(), batch.end());
+      };
+      auto split = [&](const Edge& cut) {
+        const NodeId components = index.NumComponents();
+        index.Erase({cut});
+        std::erase_if(current.edges, [&](const Edge& e) {
+          return (e.u == cut.u && e.v == cut.v) ||
+                 (e.u == cut.v && e.v == cut.u);
+        });
+        EXPECT_EQ(index.NumComponents(), components + 1)
+            << "variant=" << v->name << ": the Erase must split";
+      };
+
+      index.Build(GraphHandle(base));
+      check("Build");
+      index.Stream();
+      check("Stream");
+      insert(batch1);
+      check("Insert");
+      split(cut1);
+      check("Erase");
+      index.Stream();
+      check("re-Stream");
+      insert(batch2);
+      check("Insert after re-Stream");
+      split(cut2);
+      check("Erase after re-Stream");
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 // Readers run concurrently with ingest batches and always observe a

@@ -1,16 +1,17 @@
 // The wait-free serving layer: epoch-published Connectivity::Snapshot.
 //
-// Pins the four properties the design note in connectivity_index.h claims:
+// Pins the properties the design note in connectivity_index.h claims:
 // (1) an Acquire'd Snapshot is immutable — its answers are frozen at the
 // publication it pinned, no matter how many batches land afterwards;
-// (2) the published snapshot after every batch equals Labels() — across
-// streaming variants × representations and against the shared-lock
-// baseline; (3) retired blocks drain through the epoch domain — a pinned
-// reader defers exactly its own block, and everything is reclaimed once
-// handles drop (ASan/TSan-clean by construction); (4) the shared-lock
-// baseline's lazy refresh runs exactly once per batch even under racing
-// readers; (5) incremental publication — copy-on-write pages, small-to-
-// large relabelling, full republication after a split — matches a static
+// (2) the published snapshot after every batch equals Labels() and a
+// static recompute over the edges applied so far — across streaming
+// variants × representations; (3) retired blocks drain through the epoch
+// domain — a pinned reader defers exactly its own block, and everything is
+// reclaimed once handles drop (ASan/TSan-clean by construction); (4) an
+// empty handle (default-constructed or moved-from) serves zero nodes:
+// point reads throw std::out_of_range, materializations are empty;
+// (5) incremental publication — copy-on-write pages, small-to-large
+// relabelling, full republication after a split — matches a static
 // recompute after every Insert and Erase. Plus the many-readers-one-writer
 // stress the TSan CI job runs.
 
@@ -20,6 +21,7 @@
 #include <iterator>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -100,9 +102,9 @@ TEST(ServingSnapshot, AcquiredSnapshotIsImmutableUnderConcurrentInsert) {
   CheckSnapshotConsistent(fresh);
 }
 
-// After every batch, the published snapshot equals Labels() — across every
-// streaming variant × representation — and the kSnapshot read surface
-// matches the kSharedLock baseline fed the same batches.
+// After every batch, the published snapshot equals Labels() and a static
+// recompute over the base plus the batches applied so far — across every
+// streaming variant × representation.
 TEST(ServingSnapshot, PublicationParityAfterEveryBatchAcrossVariants) {
   const Graph csr = GenerateComponentMixture(600, 5, /*seed=*/41);
   const EdgeList all = ExtractEdges(csr);
@@ -118,36 +120,31 @@ TEST(ServingSnapshot, PublicationParityAfterEveryBatchAcrossVariants) {
   for (const Variant* v : StreamingVariants()) {
     for (const GraphRepresentation repr :
          {GraphRepresentation::kCsr, GraphRepresentation::kCoo}) {
-      Connectivity snap_index(Connectivity::Spec()
-                                  .Algorithm(v->descriptor)
-                                  .Representation(repr));
-      Connectivity lock_index(Connectivity::Spec()
-                                  .Algorithm(v->descriptor)
-                                  .Representation(repr)
-                                  .Serving(ServingMode::kSharedLock));
-      snap_index.Build(base_csr).Stream();
-      lock_index.Build(base_csr).Stream();
-      uint64_t last_version = snap_index.Acquire().version();
+      Connectivity index(Connectivity::Spec()
+                             .Algorithm(v->descriptor)
+                             .Representation(repr));
+      index.Build(base_csr).Stream();
+      EdgeList applied = base;
+      uint64_t last_version = index.Acquire().version();
       for (size_t start = 0; start < tail.size(); start += kBatch) {
         const size_t end = std::min(start + kBatch, tail.size());
         const std::vector<Edge> batch(tail.begin() + start,
                                       tail.begin() + end);
-        snap_index.Insert(batch);
-        lock_index.Insert(batch);
-        const Snapshot snap = snap_index.Acquire();
+        index.Insert(batch);
+        applied.edges.insert(applied.edges.end(), batch.begin(), batch.end());
+        const Snapshot snap = index.Acquire();
         EXPECT_GT(snap.version(), last_version) << "variant=" << v->name;
         last_version = snap.version();
         CheckSnapshotConsistent(snap);
-        // Snapshot == Labels() == the shared-lock baseline.
-        ASSERT_EQ(snap.Labels(), snap_index.Labels())
+        // Snapshot == Labels() == a static recompute of this prefix.
+        ASSERT_EQ(snap.Labels(), index.Labels())
             << "variant=" << v->name << " repr=" << ToString(repr);
         ASSERT_EQ(CanonicalizeLabels(snap.Labels()),
-                  CanonicalizeLabels(lock_index.Labels()))
+                  SequentialComponents(applied))
             << "variant=" << v->name << " repr=" << ToString(repr);
-        ASSERT_EQ(snap.NumComponents(), lock_index.NumComponents());
       }
       // Final parity with the full static run.
-      ASSERT_EQ(CanonicalizeLabels(snap_index.Labels()),
+      ASSERT_EQ(CanonicalizeLabels(index.Labels()),
                 CanonicalizeLabels(v->run(GraphHandle(csr), SamplingConfig())))
           << "variant=" << v->name << " repr=" << ToString(repr);
     }
@@ -207,51 +204,27 @@ TEST(ServingSnapshot, SnapshotOutlivesItsIndex) {
   CheckSnapshotConsistent(survivor);
 }
 
-// The shared-lock baseline's lazy refresh: racing readers after one batch
-// trigger exactly one Θ(n) refresh (the stale flag is re-checked under the
-// exclusive lock).
-TEST(ServingSnapshot, SharedLockRefreshRunsOncePerBatch) {
-  Connectivity index(
-      Connectivity::Spec().Serving(ServingMode::kSharedLock));
-  index.Stream(/*num_nodes=*/4096);
-  index.Insert({{0, 1}});
-  const uint64_t before = stats::ReadServing().label_refreshes;
-  constexpr int kReaders = 8;
-  std::atomic<int> ready{0};
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int i = 0; i < kReaders; ++i) {
-    readers.emplace_back([&] {
-      ready.fetch_add(1);
-      while (ready.load() < kReaders) {
-      }  // line up at the gate so the race is real
-      EXPECT_TRUE(index.SameComponent(0, 1));
-      EXPECT_EQ(index.NumComponents(), 4095u);
-    });
+// An empty handle serves zero nodes: default-constructed and moved-from
+// Snapshots throw on point reads instead of dereferencing nothing.
+TEST(ServingSnapshot, EmptyHandleThrowsOutOfRange) {
+  Connectivity index;
+  index.Stream(/*num_nodes=*/8);
+  Snapshot moved_from = index.Acquire();
+  const Snapshot moved_to = std::move(moved_from);
+  ASSERT_TRUE(moved_to.valid());
+  const Snapshot fresh;
+  const Snapshot* const empties[] = {&fresh, &moved_from};
+  for (const Snapshot* empty : empties) {
+    EXPECT_FALSE(empty->valid());
+    EXPECT_EQ(empty->num_nodes(), 0u);
+    EXPECT_EQ(empty->NumComponents(), 0u);
+    EXPECT_EQ(empty->version(), 0u);
+    EXPECT_THROW(empty->Component(0), std::out_of_range);
+    EXPECT_THROW(empty->SameComponent(0, 1), std::out_of_range);
+    EXPECT_THROW(empty->ComponentSize(0), std::out_of_range);
+    EXPECT_TRUE(empty->Labels().empty());
+    EXPECT_TRUE(empty->ComponentSizes().empty());
   }
-  for (std::thread& t : readers) t.join();
-  EXPECT_EQ(stats::ReadServing().label_refreshes - before, 1u)
-      << "racing readers must not duplicate the refresh";
-  // The next batch re-arms the stale flag: exactly one more.
-  index.Insert({{1, 2}});
-  index.Component(0);
-  index.Component(1);
-  EXPECT_EQ(stats::ReadServing().label_refreshes - before, 2u);
-}
-
-// Acquire under the baseline mode materializes a one-off consistent view.
-TEST(ServingSnapshot, SharedLockAcquireMaterializesConsistentView) {
-  Connectivity index(
-      Connectivity::Spec().Serving(ServingMode::kSharedLock));
-  index.Stream(/*num_nodes=*/128);
-  index.Insert({{5, 6}, {6, 7}});
-  const Snapshot snap = index.Acquire();
-  EXPECT_EQ(snap.version(), 0u) << "on-demand snapshots carry no publication";
-  EXPECT_TRUE(snap.SameComponent(5, 7));
-  CheckSnapshotConsistent(snap);
-  index.Insert({{7, 8}});
-  EXPECT_FALSE(snap.SameComponent(7, 8)) << "frozen at Acquire time";
-  EXPECT_TRUE(index.SameComponent(7, 8));
 }
 
 // The TSan target: many wait-free readers, one ingesting writer, snapshots

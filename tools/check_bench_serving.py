@@ -3,23 +3,26 @@
 
 Usage: check_bench_serving.py [--require-socket] FILE [FILE...]
 
-Validates every file: required keys, both serving modes for every mix, all
-five canonical mixes present, numeric sanity (non-negative, percentiles
-monotone p50 <= p99 <= p999 <= max). Every entry carries its transport:
+Validates every file: required keys, the machine it ran on (nproc and the
+worker pool's size, both positive integers), the one serving mode
+"snapshot" on every entry, all five canonical mixes present, numeric sanity
+(non-negative, percentiles monotone p50 <= p99 <= p999 <= max). Every entry
+carries its transport:
 "inproc" (threads calling the Connectivity facade directly, client_processes
 = 0) or "socket" (forked client processes speaking the wire protocol to a
 live connectit_server over a Unix socket, client_processes > 0). With
 --require-socket, every mix must additionally have a socket entry — the CI
 gate that the multi-process harness keeps producing end-to-end numbers.
 Exits non-zero with a message on the first violation, so CI catches a
-harness regression that silently stops emitting a mode, a transport, or a
+harness regression that silently stops emitting a mix, a transport, or a
 field.
 """
 
 import json
 import sys
 
-REQUIRED_TOP = {"bench", "nodes", "readers", "mixes"}
+REQUIRED_TOP = {"bench", "nodes", "readers", "nproc", "pool_workers",
+                "mixes"}
 REQUIRED_ENTRY = {
     "mix", "mode", "transport", "client_processes", "offered_ops_per_sec",
     "achieved_ops_per_sec", "ops", "batches", "edges_ingested",
@@ -27,7 +30,7 @@ REQUIRED_ENTRY = {
 }
 EXPECTED_MIXES = {"read_mostly", "write_heavy", "bursty", "zipfian",
                   "delete_heavy"}
-EXPECTED_MODES = {"snapshot", "shared-lock"}
+EXPECTED_MODE = "snapshot"
 EXPECTED_TRANSPORTS = {"inproc", "socket"}
 
 
@@ -48,22 +51,22 @@ def check(path, require_socket):
         fail(path, f"missing top-level keys: {sorted(missing)}")
     if doc["bench"] != "serving":
         fail(path, f'bench is {doc["bench"]!r}, expected "serving"')
-    if not isinstance(doc["nodes"], int) or doc["nodes"] <= 0:
-        fail(path, "nodes must be a positive integer")
-    if not isinstance(doc["readers"], int) or doc["readers"] <= 0:
-        fail(path, "readers must be a positive integer")
+    for key in ("nodes", "readers", "nproc", "pool_workers"):
+        if not isinstance(doc[key], int) or doc[key] <= 0:
+            fail(path, f"{key} must be a positive integer")
     if not isinstance(doc["mixes"], list) or not doc["mixes"]:
         fail(path, "mixes must be a non-empty list")
 
-    seen = set()          # (mix, mode) over inproc entries
+    inproc_mixes = set()  # mixes with an inproc entry
     socket_mixes = set()  # mixes with a socket entry
     for i, entry in enumerate(doc["mixes"]):
         where = f"mixes[{i}]"
         missing = REQUIRED_ENTRY - entry.keys()
         if missing:
             fail(path, f"{where}: missing keys {sorted(missing)}")
-        if entry["mode"] not in EXPECTED_MODES:
-            fail(path, f'{where}: unknown mode {entry["mode"]!r}')
+        if entry["mode"] != EXPECTED_MODE:
+            fail(path, f'{where}: mode must be {EXPECTED_MODE!r}, got '
+                       f'{entry["mode"]!r}')
         if entry["transport"] not in EXPECTED_TRANSPORTS:
             fail(path, f'{where}: unknown transport {entry["transport"]!r}')
         for key in REQUIRED_ENTRY - {"mix", "mode", "transport"}:
@@ -78,27 +81,18 @@ def check(path, require_socket):
         if entry["mix"] == "delete_heavy" and entry["edges_erased"] == 0:
             fail(path, f"{where}: delete_heavy mix recorded no erases")
         if entry["transport"] == "socket":
-            # Socket entries measure the live server, which serves reads
-            # from snapshots; client_processes is the forked client count.
-            if entry["mode"] != "snapshot":
-                fail(path, f'{where}: socket transport must run mode '
-                           f'"snapshot", got {entry["mode"]!r}')
+            # Socket entries measure the live server; client_processes is
+            # the forked client count.
             if entry["client_processes"] == 0:
                 fail(path, f"{where}: socket entry with no client processes")
             socket_mixes.add(entry["mix"])
         else:
             if entry["client_processes"] != 0:
                 fail(path, f"{where}: inproc entry claims client processes")
-            seen.add((entry["mix"], entry["mode"]))
+            inproc_mixes.add(entry["mix"])
 
-    mixes_seen = {mix for mix, _ in seen}
-    if not EXPECTED_MIXES <= mixes_seen:
-        fail(path, f"missing mixes: {sorted(EXPECTED_MIXES - mixes_seen)}")
-    for mix in mixes_seen:
-        modes = {mode for m, mode in seen if m == mix}
-        if modes != EXPECTED_MODES:
-            fail(path, f"mix {mix!r} missing modes: "
-                       f"{sorted(EXPECTED_MODES - modes)}")
+    if not EXPECTED_MIXES <= inproc_mixes:
+        fail(path, f"missing mixes: {sorted(EXPECTED_MIXES - inproc_mixes)}")
     if require_socket and not EXPECTED_MIXES <= socket_mixes:
         fail(path, f"missing socket-transport entries for mixes: "
                    f"{sorted(EXPECTED_MIXES - socket_mixes)}")
