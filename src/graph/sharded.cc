@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "src/parallel/atomics.h"
-#include "src/parallel/primitives.h"
+#include "src/graph/builder.h"
 
 namespace connectit {
 
@@ -55,53 +54,8 @@ ShardedGraph::Shard ShardedGraph::BuildShard(const EdgeList& edges,
                                              NodeId first, NodeId count) {
   Shard shard;
   shard.first = first;
-  shard.offsets.assign(static_cast<size_t>(count) + 1, 0);
-  const NodeId hi = first + count;
-  const size_t m = edges.size();
-
-  // Symmetrized arcs with source inside [first, hi): index i < m is the
-  // forward arc of edge i, index i >= m its reverse. One stable pack keeps
-  // only the in-range sources.
-  std::vector<Edge> arcs;
-  if (m > 0) {
-    arcs = ParallelPack<Edge>(
-        2 * m,
-        [&](size_t i) {
-          const Edge& e = edges.edges[i % m];
-          const NodeId src = i < m ? e.u : e.v;
-          return src >= first && src < hi;
-        },
-        [&](size_t i) {
-          const Edge& e = edges.edges[i % m];
-          return i < m ? e : Edge{e.v, e.u};
-        });
-  }
-  // Same comparator and filter as BuildFromArcs (builder.cc): restricting
-  // to a source range commutes with sorting by (source, target) and with
-  // removing self loops / adjacent duplicates, which is what makes the
-  // per-shard result identical to the corresponding slice of BuildGraph.
-  ParallelSort(arcs, [](const Edge& a, const Edge& b) {
-    return a.u < b.u || (a.u == b.u && a.v < b.v);
-  });
-  std::vector<Edge> kept = ParallelPack<Edge>(
-      arcs.size(),
-      [&](size_t i) {
-        const Edge& e = arcs[i];
-        if (e.u == e.v) return false;
-        if (i > 0 && arcs[i - 1] == e) return false;
-        return true;
-      },
-      [&](size_t i) { return arcs[i]; });
-  arcs.clear();
-  arcs.shrink_to_fit();
-
-  ParallelFor(0, kept.size(), [&](size_t i) {
-    FetchAdd<EdgeId>(&shard.offsets[kept[i].u - first + 1], 1);
-  });
-  for (size_t v = 1; v <= count; ++v) shard.offsets[v] += shard.offsets[v - 1];
-  shard.neighbors.resize(kept.size());
-  ParallelFor(0, kept.size(),
-              [&](size_t i) { shard.neighbors[i] = kept[i].v; });
+  BuildRows(edges, first, count, BuildOptions{}, &shard.offsets,
+            &shard.neighbors);
   return shard;
 }
 

@@ -68,14 +68,15 @@ class ShardedGraph {
   static ShardedGraph Partition(const Graph& graph, size_t num_shards = 0);
 
   // Builds the CSR shard for the vertex range [first, first + count)
-  // directly from an edge list, without ever materializing the full graph:
-  // symmetrized arcs whose source falls in the range are collected, sorted,
-  // and deduplicated with exactly BuildGraph's default semantics
-  // (builder.cc: symmetrize, drop self loops, drop duplicates), so feeding
-  // the shards of a tiling of [0, n) to a ContainerWriter produces a
-  // container byte-identical to writing Partition(BuildGraph(edges), P).
-  // Peak memory is the edge list plus this one shard — the out-of-core
-  // convert path in graph_tool builds billion-edge containers this way.
+  // directly from an edge list, without ever materializing the full graph.
+  // It is BuildGraph's own row builder (BuildRows in builder.h, default
+  // BuildOptions) restricted to sources in the range, so feeding the shards
+  // of a tiling of [0, n) to a ContainerWriter produces a container
+  // byte-identical to writing Partition(BuildGraph(edges), P). Peak memory
+  // is the edge list plus this one shard's transient arrays — the
+  // out-of-core convert path in graph_tool builds billion-edge containers
+  // this way. Throws std::out_of_range, as BuildGraph does, if any edge
+  // (in the range or not) has an endpoint >= edges.num_nodes.
   static Shard BuildShard(const EdgeList& edges, NodeId first, NodeId count);
 
   NodeId num_nodes() const { return num_nodes_; }

@@ -4,12 +4,18 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/graph/builder.h"
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
+#include "src/graph/sharded.h"
+#include "src/parallel/thread_pool.h"
 #include "tests/test_graphs.h"
 
 namespace connectit {
@@ -60,6 +66,145 @@ TEST(Builder, IsolatedVerticesKeepZeroDegree) {
   for (NodeId v = 1; v < 9; ++v) EXPECT_EQ(g.degree(v), 0u);
   EXPECT_EQ(g.degree(0), 1u);
   EXPECT_EQ(g.degree(9), 1u);
+}
+
+// Endpoints are checked in every build type: an edge past n throws on the
+// calling thread instead of writing past the offsets array.
+TEST(Builder, RejectsOutOfRangeEndpoints) {
+  EXPECT_THROW(BuildGraph(4, {{0, 1}, {2, 4}}), std::out_of_range);
+  EXPECT_THROW(BuildGraph(4, {{5, 1}, {2, 3}}), std::out_of_range);
+  EXPECT_THROW(BuildGraph(0, {{0, 0}}), std::out_of_range);
+  try {
+    BuildGraph(4, {{0, 1}, {2, 4}});
+    FAIL() << "no exception";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("(2, 4)"), std::string::npos)
+        << e.what();
+  }
+
+  const EdgeList bad_target{4, {{0, 1}, {2, 4}}};
+  const EdgeList bad_source{4, {{5, 1}, {2, 3}}};
+  const EdgeList empty_range{0, {{0, 0}}};
+  EXPECT_THROW(ShardedGraph::BuildShard(bad_target, 0, 4), std::out_of_range);
+  EXPECT_THROW(ShardedGraph::BuildShard(bad_source, 0, 4), std::out_of_range);
+  EXPECT_THROW(ShardedGraph::BuildShard(empty_range, 0, 0), std::out_of_range);
+  // The bad edge's endpoints lie outside the shard's range: still an error.
+  EXPECT_THROW(ShardedGraph::BuildShard(bad_target, 0, 2), std::out_of_range);
+}
+
+// Inputs for the reference tests: RMAT and Erdos-Renyi edge lists, with
+// self-loops, repeats and reversed repeats appended. The large ones span
+// four 4096-vertex buckets (the last one ragged) and, at >= 2^16 edges,
+// several partition blocks even on a one-worker pool.
+std::vector<std::pair<std::string, EdgeList>> ReferenceInputs() {
+  constexpr NodeId kLargeN = 3 * 4096 + 17;
+  std::vector<std::pair<std::string, EdgeList>> inputs = {
+      {"rmat_large", GenerateRmatEdges(kLargeN, 80000, /*seed=*/7)},
+      {"er_large", GenerateErdosRenyiEdges(kLargeN, 70000, /*seed=*/8)},
+      {"rmat_100", GenerateRmatEdges(100, 600, /*seed=*/9)},
+      {"er_100", GenerateErdosRenyiEdges(100, 300, /*seed=*/10)},
+  };
+  for (auto& [name, list] : inputs) {
+    const size_t m = list.edges.size();
+    for (size_t i = 0; i < m; i += 7) {
+      const Edge e = list.edges[i];
+      list.edges.push_back(e);
+      list.edges.push_back({e.v, e.u});
+      list.edges.push_back({e.u, e.u});
+    }
+    list.edges.push_back({list.num_nodes - 1, list.num_nodes - 1});
+  }
+  return inputs;
+}
+
+// Sequential std::sort + std::unique reference for the rows of the sources
+// in [first, first + count).
+struct ReferenceRows {
+  std::vector<EdgeId> offsets;
+  std::vector<NodeId> neighbors;
+};
+
+ReferenceRows SortReference(const EdgeList& edges, NodeId first,
+                            NodeId count, const BuildOptions& options) {
+  std::vector<Edge> arcs;
+  const auto add = [&](NodeId u, NodeId v) {
+    if (u < first || u - first >= count) return;
+    if (options.remove_self_loops && u == v) return;
+    arcs.push_back({u, v});
+  };
+  for (const Edge& e : edges.edges) {
+    add(e.u, e.v);
+    if (options.symmetrize) add(e.v, e.u);
+  }
+  std::sort(arcs.begin(), arcs.end());
+  if (options.remove_duplicates) {
+    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  }
+  ReferenceRows rows;
+  rows.offsets.assign(static_cast<size_t>(count) + 1, 0);
+  for (const Edge& a : arcs) {
+    ++rows.offsets[a.u - first + 1];
+    rows.neighbors.push_back(a.v);
+  }
+  for (size_t v = 1; v <= count; ++v) rows.offsets[v] += rows.offsets[v - 1];
+  return rows;
+}
+
+// BuildGraph under every BuildOptions combination, at pool sizes 1 and 4.
+TEST(Builder, MatchesSortReference) {
+  for (const auto& [name, edges] : ReferenceInputs()) {
+    for (int mask = 0; mask < 8; ++mask) {
+      BuildOptions options;
+      options.symmetrize = (mask & 1) != 0;
+      options.remove_self_loops = (mask & 2) != 0;
+      options.remove_duplicates = (mask & 4) != 0;
+      const ReferenceRows want =
+          SortReference(edges, 0, edges.num_nodes, options);
+      for (const size_t workers : {size_t{1}, size_t{4}}) {
+        SetNumWorkers(workers);
+        const Graph g = BuildGraph(edges, options);
+        const std::string where = name + " options=" + std::to_string(mask) +
+                                  " workers=" + std::to_string(workers);
+        EXPECT_EQ(g.offsets(), want.offsets) << where;
+        EXPECT_EQ(g.neighbor_array(), want.neighbors) << where;
+      }
+    }
+  }
+  SetNumWorkers(0);
+}
+
+// BuildShard on ranges whose first vertex is off the 4096-vertex bucket
+// grid, ranges that straddle bucket edges, the ragged tail, the whole graph
+// and an empty range, at pool sizes 1 and 4.
+TEST(Builder, BuildShardMatchesSortReference) {
+  for (const auto& [name, edges] : ReferenceInputs()) {
+    const NodeId n = edges.num_nodes;
+    const std::vector<std::pair<NodeId, NodeId>> ranges = {
+        {0, n},
+        {1, n - 1},
+        {n / 3, n / 3},
+        {n - 17, 17},
+        {n / 2, 0},
+        {std::min<NodeId>(4095, n - 2), 2},
+        {std::min<NodeId>(1000, n / 2), n / 2},
+    };
+    for (const auto& [first, count] : ranges) {
+      const ReferenceRows want =
+          SortReference(edges, first, count, BuildOptions{});
+      for (const size_t workers : {size_t{1}, size_t{4}}) {
+        SetNumWorkers(workers);
+        const ShardedGraph::Shard got =
+            ShardedGraph::BuildShard(edges, first, count);
+        const std::string where = name + " [" + std::to_string(first) +
+                                  ", +" + std::to_string(count) +
+                                  ") workers=" + std::to_string(workers);
+        EXPECT_EQ(got.first, first) << where;
+        EXPECT_EQ(got.offsets, want.offsets) << where;
+        EXPECT_EQ(got.neighbors, want.neighbors) << where;
+      }
+    }
+  }
+  SetNumWorkers(0);
 }
 
 TEST(Csr, OffsetsAreConsistent) {
