@@ -115,6 +115,30 @@ inline double TimeBest(const std::function<void()>& fn, int reps = 3) {
   return best;
 }
 
+// The median and quartiles of repeated wall-clock times. On a shared host
+// one run of a row can move by 2x, so a table reports the middle of several
+// runs and the band around it.
+struct Timing {
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+};
+
+// Times `runs` invocations of fn. Quartiles interpolate linearly between
+// the sorted runs (for 5 runs: the 2nd and 4th).
+inline Timing Repeat(const std::function<void()>& fn, int runs = 5) {
+  std::vector<double> times;
+  for (int i = 0; i < runs; ++i) times.push_back(TimeIt(fn));
+  std::sort(times.begin(), times.end());
+  const auto quantile = [&](double q) {
+    const double at = q * static_cast<double>(times.size() - 1);
+    const size_t lo = static_cast<size_t>(at);
+    const size_t hi = std::min(lo + 1, times.size() - 1);
+    return times[lo] + (at - static_cast<double>(lo)) * (times[hi] - times[lo]);
+  };
+  return {quantile(0.5), quantile(0.25), quantile(0.75)};
+}
+
 struct BenchGraph {
   std::string name;
   Graph graph;

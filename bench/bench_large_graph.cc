@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -58,44 +59,41 @@ int main(int argc, char** argv) {
 
   bench::PrintTitle(
       "Table 1 (substituted): all systems on the largest local graph");
-  std::printf("%-36s %12s %10s\n", "System", "Time(s)", "vs best");
+  constexpr int kRuns = 5;
+  std::printf("Each row: median of %d runs [first quartile, third quartile]\n",
+              kRuns);
+  std::printf("%-40s %10s %22s %10s\n", "System", "Time(s)", "[q1, q3]",
+              "vs best");
 
   struct Entry {
     std::string name;
-    double time;
+    bench::Timing time;
   };
   std::vector<Entry> entries;
-  entries.push_back(
-      {"Sequential union-find",
-       bench::TimeIt([&] { SequentialUnionFindCC(graph); })});
-  entries.push_back({"BFSCC (Ligra)", bench::TimeIt([&] { BfsCC(graph); })});
-  entries.push_back({"WorkefficientCC (Shun et al.)",
-                     bench::TimeIt([&] { WorkEfficientCC(graph); })});
-  entries.push_back({"GAPBS (Shiloach-Vishkin)",
-                     bench::TimeIt([&] { GapbsShiloachVishkin(graph); })});
-  entries.push_back(
-      {"GAPBS (Afforest)", bench::TimeIt([&] { AfforestCC(graph); })});
+  const auto add = [&](const char* name, const std::function<void()>& fn) {
+    entries.push_back({name, bench::Repeat(fn, kRuns)});
+  };
+  add("Sequential union-find", [&] { SequentialUnionFindCC(graph); });
+  add("BFSCC (Ligra)", [&] { BfsCC(graph); });
+  add("WorkefficientCC (Shun et al.)", [&] { WorkEfficientCC(graph); });
+  add("GAPBS (Shiloach-Vishkin)", [&] { GapbsShiloachVishkin(graph); });
+  add("GAPBS (Afforest)", [&] { AfforestCC(graph); });
 
   const Variant* fastest = &DefaultVariant();
-  entries.push_back(
-      {"ConnectIt (no sampling)",
-       bench::TimeIt([&] { fastest->run(graph, SamplingConfig::None()); })});
-  entries.push_back(
-      {"ConnectIt (k-out sampling)",
-       bench::TimeIt([&] { fastest->run(graph, SamplingConfig::KOut()); })});
+  add("ConnectIt (no sampling)",
+      [&] { fastest->run(graph, SamplingConfig::None()); });
+  add("ConnectIt (k-out sampling)",
+      [&] { fastest->run(graph, SamplingConfig::KOut()); });
   {
     SamplingConfig afforest_kout = SamplingConfig::KOut();
     afforest_kout.kout.variant = KOutVariant::kAfforest;
-    entries.push_back(
-        {"ConnectIt (k-out, afforest rule)",
-         bench::TimeIt([&] { fastest->run(graph, afforest_kout); })});
+    add("ConnectIt (k-out, afforest rule)",
+        [&] { fastest->run(graph, afforest_kout); });
   }
-  entries.push_back(
-      {"ConnectIt (BFS sampling)",
-       bench::TimeIt([&] { fastest->run(graph, SamplingConfig::Bfs()); })});
-  entries.push_back(
-      {"ConnectIt (LDD sampling)",
-       bench::TimeIt([&] { fastest->run(graph, SamplingConfig::Ldd()); })});
+  add("ConnectIt (BFS sampling)",
+      [&] { fastest->run(graph, SamplingConfig::Bfs()); });
+  add("ConnectIt (LDD sampling)",
+      [&] { fastest->run(graph, SamplingConfig::Ldd()); });
 
   // Memory-placement axis: the default variant's NumaReplicated twin, flat
   // vs replicated on the same graph. On a single-node topology the twin
@@ -106,14 +104,10 @@ int main(int argc, char** argv) {
     twin.placement = PlacementOption::kNumaReplicated;
     if (const Variant* replicated = FindVariant(twin)) {
       const stats::LocalitySnapshot l0 = stats::ReadLocality();
-      entries.push_back(
-          {"ConnectIt (NUMA-replicated, no sampling)",
-           bench::TimeIt(
-               [&] { replicated->run(graph, SamplingConfig::None()); })});
-      entries.push_back(
-          {"ConnectIt (NUMA-replicated, k-out)",
-           bench::TimeIt(
-               [&] { replicated->run(graph, SamplingConfig::KOut()); })});
+      add("ConnectIt (NUMA-replicated, no sampling)",
+          [&] { replicated->run(graph, SamplingConfig::None()); });
+      add("ConnectIt (NUMA-replicated, k-out)",
+          [&] { replicated->run(graph, SamplingConfig::KOut()); });
       const stats::LocalitySnapshot l1 = stats::ReadLocality();
       std::printf(
           "NUMA: %zu node(s) (%s); locality over replicated runs: "
@@ -130,10 +124,12 @@ int main(int argc, char** argv) {
   }
 
   double best = 1e300;
-  for (const Entry& e : entries) best = std::min(best, e.time);
+  for (const Entry& e : entries) best = std::min(best, e.time.median);
   for (const Entry& e : entries) {
-    std::printf("%-36s %12.3f %9.2fx\n", e.name.c_str(), e.time,
-                e.time / best);
+    char band[64];
+    std::snprintf(band, sizeof(band), "[%.3f, %.3f]", e.time.q1, e.time.q3);
+    std::printf("%-40s %10.3f %22s %9.2fx\n", e.name.c_str(),
+                e.time.median, band, e.time.median / best);
   }
 
   // Compression footprint (Table 1 discusses the memory side; the paper's
@@ -259,12 +255,15 @@ int main(int argc, char** argv) {
   // Fixed 2000-edge batches into indexes of growing n (RMAT, 2n base
   // edges, Build -> Stream): the per-Insert snapshot publication should
   // stay flat as n grows, since it costs time in the batch, not in n.
+  // After the Inserts, one empty Erase times the deletion layer's arming:
+  // run_forest over the built graph, the bulk load of the dynamic forest,
+  // and the replay of the 40,000 journaled edges.
   bench::PrintTitle("Insert publication vs n (2000-edge batches, RMAT 2n)");
   {
     constexpr size_t kBatch = 2000;
     constexpr int kBatches = 20;
-    std::printf("%-10s %16s %18s %14s\n", "n", "publish us/ins",
-                "process us/ins", "insert us/ins");
+    std::printf("%-10s %16s %18s %14s %10s\n", "n", "publish us/ins",
+                "process us/ins", "insert us/ins", "arm s");
     std::string rows;
     for (int lg = 16; lg <= 24; lg += 2) {
       const NodeId sn = NodeId{1} << lg;
@@ -283,20 +282,22 @@ int main(int argc, char** argv) {
         insert_s += bench::TimeIt([&] { index.Insert(batch); });
       }
       const stats::ServingSnapshot after = stats::ReadServing();
+      const double arm_s = bench::TimeIt([&] { index.Erase({}); });
       const double publish_us =
           static_cast<double>(after.publication_cost_us -
                               before.publication_cost_us) /
           kBatches;
       const double insert_us = 1e6 * insert_s / kBatches;
-      std::printf("%-10u %16.1f %18.1f %14.1f\n", sn, publish_us,
-                  insert_us - publish_us, insert_us);
+      std::printf("%-10u %16.1f %18.1f %14.1f %10.3f\n", sn, publish_us,
+                  insert_us - publish_us, insert_us, arm_s);
       char row[256];
       std::snprintf(row, sizeof(row),
                     "%s    {\"name\": \"n%u\", \"n\": %u, "
                     "\"publication_cost_us\": %.1f, "
-                    "\"process_batch_us\": %.1f, \"insert_us\": %.1f}",
+                    "\"process_batch_us\": %.1f, \"insert_us\": %.1f, "
+                    "\"arm_s\": %.4f}",
                     rows.empty() ? "" : ",\n", sn, sn, publish_us,
-                    insert_us - publish_us, insert_us);
+                    insert_us - publish_us, insert_us, arm_s);
       rows += row;
     }
     if (FILE* f = std::fopen(publication_out, "w")) {

@@ -115,6 +115,15 @@ using internal::SnapshotData;
 
 void DeleteSnapshotData(void* p) { delete static_cast<SnapshotData*>(p); }
 
+// Throws std::out_of_range for the first endpoint in `edges` that is not a
+// vertex of an n-vertex index.
+void CheckEndpoints(const std::vector<Edge>& edges, NodeId n) {
+  for (const Edge& e : edges) {
+    if (e.u >= n) internal::ThrowNodeOutOfRange(e.u, n);
+    if (e.v >= n) internal::ThrowNodeOutOfRange(e.v, n);
+  }
+}
+
 uint64_t SteadyNowUs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -615,6 +624,9 @@ std::vector<uint8_t> Connectivity::Insert(const std::vector<Edge>& updates,
   if (streaming_ == nullptr) {
     DieF("Connectivity::Insert requires Stream() first");
   }
+  // Before any structure changes: a rejected batch leaves no trace.
+  CheckEndpoints(updates, streaming_->num_nodes());
+  CheckEndpoints(queries, streaming_->num_nodes());
   std::vector<uint8_t> results = streaming_->ProcessBatch(updates, queries);
   // Keep the deletion layer in step: an armed forest absorbs the batch
   // directly; before the first Erase the journal records it for the
@@ -656,6 +668,9 @@ std::vector<uint8_t> Connectivity::Erase(const std::vector<Edge>& updates,
   if (streaming_ == nullptr) {
     DieF("Connectivity::Erase requires Stream() first");
   }
+  // Out-of-range updates are misses (EraseBatch skips them); queries must
+  // name vertices, checked before the forest arms or any edge goes.
+  CheckEndpoints(queries, streaming_->num_nodes());
   if (forest_ == nullptr) ArmForestLocked();
   const DynamicForest::EraseStats batch = forest_->EraseBatch(updates);
   stats::RecordEraseBatch(batch.erased, batch.misses, batch.forest_hits,

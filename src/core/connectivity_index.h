@@ -292,7 +292,9 @@ class Connectivity {
   // batch). Batches serialize against each other; the post-batch labeling
   // is published before Insert returns, so every subsequent read sees it.
   // The publication costs time in the batch, not in n (see the header
-  // comment).
+  // comment). An update or query endpoint >= num_nodes() throws
+  // std::out_of_range before anything changes: the batch is not applied
+  // and nothing is published.
   std::vector<uint8_t> Insert(const std::vector<Edge>& updates,
                               const std::vector<Edge>& queries = {});
 
@@ -313,7 +315,14 @@ class Connectivity {
   // deletion with a surviving replacement changes no labels and no query
   // answer, and republishes the same pages under a new version. Erase
   // publishes exactly once, like Insert, and ticks the erase counters in
-  // stats::ReadServing().
+  // stats::ReadServing(). An update naming a vertex >= num_nodes() is a
+  // miss, like any absent edge; a query endpoint >= num_nodes() throws
+  // std::out_of_range before anything changes (the forest does not arm,
+  // nothing is erased or published).
+  //
+  // The first Erase arms the forest completely before it returns, an
+  // empty one included: run_forest, then a bulk load of the built graph
+  // (see DynamicForest::AdoptGraph), then the journal replay.
   std::vector<uint8_t> Erase(const std::vector<Edge>& updates,
                              const std::vector<Edge>& queries = {});
 

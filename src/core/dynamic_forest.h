@@ -58,9 +58,18 @@ class DynamicForest {
   explicit DynamicForest(NodeId n);
 
   // Adopts a built graph's adjacency plus the spanning forest its variant
-  // computed (run_forest output: labels + forest edges). The labels are
-  // canonicalized to min-rooted form. Call at most once, before any
-  // Insert/Erase batch.
+  // computed (run_forest output: labels, each a vertex id, + forest
+  // edges). Call at most once, on a fresh forest, before any Insert/Erase
+  // batch.
+  //
+  // A bulk load with the result of AddEdge-ing the graph one edge at a
+  // time: each list holds its neighbours in that order (input order for a
+  // COO list, whose self-loops and repeats are dropped; the
+  // representation's neighbour order otherwise) at the capacity those
+  // push_backs reach; the forest set is exactly forest.edges; the labels
+  // are forest.labels canonicalized to min-rooted form. The key sets are
+  // reserved once and filled through a prefetch window, the lists are
+  // reserved on the calling thread and filled in parallel.
   void AdoptGraph(const GraphHandle& graph,
                   const SpanningForestResult& forest);
 
@@ -78,6 +87,11 @@ class DynamicForest {
   bool HasEdge(NodeId u, NodeId v) const {
     return u != v && edges_.Contains(Key(u, v));
   }
+  bool IsForestEdge(NodeId u, NodeId v) const {
+    return u != v && forest_.Contains(Key(u, v));
+  }
+  // The neighbours of v, in adjacency order.
+  const std::vector<NodeId>& Neighbors(NodeId v) const { return adj_[v]; }
   // The canonical labeling (label = min vertex id of the component) —
   // always a valid StreamingSeed::FromLabels input. Applies the pending
   // merges first.
@@ -97,6 +111,11 @@ class DynamicForest {
 
   // Inserts (u, v) into the adjacency; false for self-loops/duplicates.
   bool AddEdge(NodeId u, NodeId v);
+  // Reserves every list to the capacity degree[v] push_backs reach from
+  // empty (the next power of two), on the calling thread: a list the
+  // mutator later grows then frees its old buffer into the mutator's own
+  // malloc arena, as MakeSnapshotData's pages do.
+  void ReserveLists(const std::vector<EdgeId>& degree);
   void RemoveArc(NodeId u, NodeId v);
   // Relabels every vertex through pending_ and empties it (Θ(n) once).
   void ApplyPendingMerges();

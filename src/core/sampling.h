@@ -35,6 +35,7 @@
 #include "src/core/options.h"
 #include "src/graph/csr.h"
 #include "src/graph/types.h"
+#include "src/parallel/primitives.h"
 #include "src/parallel/random.h"
 #include "src/unionfind/dsu.h"
 
@@ -244,11 +245,7 @@ void LddSampleImpl(const GraphT& graph, const LddSampleOptions& options,
   ldd_options.seed = options.seed;
   const LddResult ldd = LowDiameterDecomposition(graph, ldd_options);
   // Per-cluster minimum member.
-  std::vector<NodeId> min_of(n, kInvalidNode);
-  ParallelFor(0, n, [&](size_t vi) {
-    const NodeId v = static_cast<NodeId>(vi);
-    WriteMin(&min_of[ldd.clusters[v]], v);
-  });
+  const std::vector<NodeId> min_of = MinIndexPerLabel(ldd.clusters);
   ParallelFor(0, n, [&](size_t vi) {
     const NodeId v = static_cast<NodeId>(vi);
     labels[v] = min_of[ldd.clusters[v]];

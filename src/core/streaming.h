@@ -32,6 +32,7 @@
 #include "src/graph/types.h"
 #include "src/liutarjan/liu_tarjan.h"
 #include "src/parallel/atomics.h"
+#include "src/parallel/primitives.h"
 #include "src/parallel/thread_pool.h"
 #include "src/sv/shiloach_vishkin.h"
 #include "src/unionfind/dsu.h"
@@ -90,10 +91,7 @@ inline std::vector<NodeId> AdoptSeedLabels(std::vector<NodeId> parents) {
     throw std::invalid_argument("streaming seed: parent array has a cycle");
   }
   // Re-root every tree at its minimum member (cluster-min labeling).
-  std::vector<NodeId> min_of(n, kInvalidNode);
-  ParallelFor(0, n, [&](size_t v) {
-    WriteMin(&min_of[parents[v]], static_cast<NodeId>(v));
-  });
+  const std::vector<NodeId> min_of = MinIndexPerLabel(parents);
   ParallelFor(0, n, [&](size_t v) { parents[v] = min_of[parents[v]]; });
   return parents;
 }

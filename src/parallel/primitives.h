@@ -12,9 +12,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <vector>
 
+#include "src/parallel/atomics.h"
 #include "src/parallel/thread_pool.h"
 
 namespace connectit {
@@ -222,6 +224,20 @@ void ParallelSort(std::vector<T>& v, Less less) {
 template <typename T>
 void ParallelSort(std::vector<T>& v) {
   ParallelSort(v.data(), v.size(), std::less<T>());
+}
+
+// For labels in [0, labels.size()): the smallest index carrying each label,
+// min_of[l] = min{i : labels[i] == l}, and the largest T for a label no
+// index carries. Gathering min_of[labels[i]] relabels every index by the
+// minimum of its class, the canonical min-rooted labeling. One WriteMin
+// per index.
+template <typename T>
+std::vector<T> MinIndexPerLabel(const std::vector<T>& labels) {
+  std::vector<T> min_of(labels.size(), std::numeric_limits<T>::max());
+  ParallelFor(0, labels.size(), [&](size_t i) {
+    WriteMin(&min_of[labels[i]], static_cast<T>(i));
+  });
+  return min_of;
 }
 
 }  // namespace connectit

@@ -7,6 +7,8 @@
 // after Inserts and Erases, and concurrent reads during ingest.
 
 #include <atomic>
+#include <functional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph_handle.h"
 #include "src/graph/sharded.h"
+#include "src/stats/counters.h"
 
 namespace connectit {
 namespace {
@@ -381,6 +384,48 @@ TEST(Connectivity, ConcurrentReadsDuringIngest) {
   full.Build(GraphHandle(stream));
   EXPECT_EQ(CanonicalizeLabels(index.Labels()),
             CanonicalizeLabels(full.Labels()));
+}
+
+// Insert and Erase check every vertex they would index before anything
+// changes: a bad endpoint throws std::out_of_range, nothing is applied or
+// published, and the index keeps serving and taking batches.
+TEST(Connectivity, OutOfRangeVerticesThrowBeforeAnyChange) {
+  EdgeList base;
+  base.num_nodes = 8;
+  base.edges = {{0, 1}, {2, 3}, {4, 5}};
+  Connectivity index;
+  index.Build(GraphHandle(base)).Stream();
+  const NodeId far = NodeId{1} << 30;
+  const auto expect_rejected = [&](const std::function<void()>& batch,
+                                   const char* what) {
+    const uint64_t version = index.Acquire().version();
+    const std::vector<NodeId> labels = index.Labels();
+    EXPECT_THROW(batch(), std::out_of_range) << what;
+    EXPECT_EQ(index.Acquire().version(), version) << what;
+    EXPECT_EQ(index.Labels(), labels) << what;
+    // Still writable: a valid batch applies and publishes.
+    EXPECT_EQ(index.Insert({{6, 7}}, {{6, 7}}), std::vector<uint8_t>{1})
+        << what;
+    EXPECT_GT(index.Acquire().version(), version) << what;
+  };
+  expect_rejected([&] { index.Insert({{2, 3}, {5, far}}); }, "update");
+  expect_rejected([&] { index.Insert({{2, 3}}, {{0, far}}); }, "query");
+  expect_rejected([&] { index.Insert({{8, 0}}); }, "one past the end");
+  expect_rejected([&] { index.Erase({{0, 1}}, {{0, far}}); },
+                  "erase query before arming");
+  EXPECT_TRUE(index.SameComponent(0, 1));  // the rejected Erase erased none
+  index.Erase({});                         // arms the forest
+  expect_rejected([&] { index.Insert({{far, 0}}); }, "update after arming");
+  expect_rejected([&] { index.Erase({{0, 1}}, {{8, 0}}); },
+                  "erase query after arming");
+  EXPECT_TRUE(index.SameComponent(0, 1));
+  // An out-of-range Erase update stays a miss, as any absent edge is.
+  const stats::ServingSnapshot before = stats::ReadServing();
+  EXPECT_EQ(index.Erase({{0, far}, {0, 1}}, {{0, 1}}),
+            std::vector<uint8_t>{0});
+  const stats::ServingSnapshot after = stats::ReadServing();
+  EXPECT_EQ(after.erase_misses - before.erase_misses, 1u);
+  EXPECT_EQ(after.edges_erased - before.edges_erased, 1u);
 }
 
 TEST(ConnectivityDeathTest, LifecycleGuardsDie) {

@@ -17,6 +17,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -24,9 +25,13 @@
 
 #include "src/algo/verify.h"
 #include "src/core/connectivity_index.h"
+#include "src/core/dynamic_forest.h"
 #include "src/core/edge_key_set.h"
 #include "src/core/registry.h"
+#include "src/graph/builder.h"
+#include "src/graph/generators.h"
 #include "src/graph/graph_handle.h"
+#include "src/parallel/thread_pool.h"
 #include "src/stats/counters.h"
 
 namespace connectit {
@@ -377,6 +382,204 @@ TEST(EdgeKeySet, MatchesStdSetUnderChurn) {
       }
     }
   }
+}
+
+// A canonical key (lo < hi) per index, spread over the hash.
+uint64_t TestKey(uint64_t i) { return i << 32 | (i + 1); }
+
+// Inserts alone double the table when a key would fill more than 70% of
+// it: the smallest power of two >= 16 slots with 10 * keys <= 7 * slots.
+TEST(EdgeKeySet, InsertsDoubleTheTableAtSeventyPercent) {
+  EdgeKeySet keys;
+  EXPECT_EQ(keys.slot_count(), 0u);
+  size_t expected = 16;
+  for (uint64_t i = 0; i < 200000; ++i) {
+    ASSERT_TRUE(keys.Insert(TestKey(i)));
+    if (10 * keys.size() > 7 * expected) expected *= 2;
+    ASSERT_EQ(keys.slot_count(), expected) << "at " << keys.size() << " keys";
+    switch (keys.size()) {
+      case 11: ASSERT_EQ(keys.slot_count(), 16u); break;
+      case 12: ASSERT_EQ(keys.slot_count(), 32u); break;
+      case 23: ASSERT_EQ(keys.slot_count(), 64u); break;
+      case 183500: ASSERT_EQ(keys.slot_count(), size_t{1} << 18); break;
+      case 183501: ASSERT_EQ(keys.slot_count(), size_t{1} << 19); break;
+    }
+  }
+}
+
+// Reserve(k) goes in one step to the slot count k inserts grow the table
+// to, and those k inserts then leave it there.
+TEST(EdgeKeySet, ReserveMatchesGrowthAndHoldsItsKeys) {
+  for (const size_t k : {0, 1, 11, 12, 22, 23, 1000, 183500, 183501}) {
+    EdgeKeySet grown;
+    for (uint64_t i = 0; i < k; ++i) grown.Insert(TestKey(i));
+    EdgeKeySet reserved;
+    reserved.Reserve(k);
+    const size_t slots = reserved.slot_count();
+    EXPECT_EQ(slots, grown.slot_count()) << k << " keys";
+    for (uint64_t i = 0; i < k; ++i) reserved.Insert(TestKey(i));
+    EXPECT_EQ(reserved.slot_count(), slots) << k << " keys";
+    EXPECT_EQ(reserved.size(), k);
+  }
+}
+
+// Erasing one key and inserting another keeps the live size fixed while
+// tombstones pile up; their rehashes run in place. At most 35% live the
+// table never grows; above it, the first rehash doubles it once and the
+// table then stays put.
+TEST(EdgeKeySet, ChurnAtAFixedLiveSizeDoesNotGrowTheTable) {
+  for (const bool reserved : {true, false}) {
+    EdgeKeySet keys;
+    if (reserved) keys.Reserve(2800);  // 4096 slots: 1000 keys are 24%
+    for (uint64_t i = 0; i < 1000; ++i) keys.Insert(TestKey(i));
+    size_t slots = keys.slot_count();
+    ASSERT_EQ(slots, reserved ? 4096u : 2048u);
+    for (uint64_t i = 1000; i < 60000; ++i) {
+      ASSERT_TRUE(keys.Erase(TestKey(i - 1000)));
+      ASSERT_TRUE(keys.Insert(TestKey(i)));
+      ASSERT_EQ(keys.size(), 1000u);
+      if (!reserved && keys.slot_count() != slots) {
+        // 1000 keys are 49% of 2048 slots: one doubling, then no more.
+        ASSERT_EQ(slots, 2048u);
+        slots = keys.slot_count();
+        ASSERT_EQ(slots, 4096u);
+      }
+      ASSERT_EQ(keys.slot_count(), slots) << "after churn step " << i;
+    }
+    for (uint64_t i = 59000; i < 60000; ++i) {
+      ASSERT_TRUE(keys.Contains(TestKey(i)));
+    }
+  }
+}
+
+// ---- Bulk arming vs the edge-at-a-time build ----
+
+// The armed state DynamicForest::AdoptGraph must reproduce, built one edge
+// at a time the way the forest armed before the bulk load: for a COO list,
+// the AddEdge loop (first occurrence of each edge in input order, self-loops
+// dropped, one arc appended to each endpoint's list); for an adjacency
+// handle, each vertex's neighbours in the representation's order without
+// self-loops, one key per u < v arc. Lists grow by push_back, so their
+// capacities are the ones the armed lists must match.
+struct ReferenceArming {
+  std::vector<std::vector<NodeId>> adj;
+  EdgeSet edges;
+};
+
+ReferenceArming ArmOneEdgeAtATime(const GraphHandle& handle) {
+  ReferenceArming ref;
+  const NodeId n = handle.num_nodes();
+  ref.adj.resize(n);
+  handle.Visit([&](const auto& g) {
+    using G = std::decay_t<decltype(g)>;
+    if constexpr (std::is_same_v<G, EdgeList>) {
+      for (const Edge& e : g.edges) {
+        if (e.u == e.v || !ref.edges.insert(Canon(e)).second) continue;
+        ref.adj[e.u].push_back(e.v);
+        ref.adj[e.v].push_back(e.u);
+      }
+    } else {
+      for (NodeId u = 0; u < n; ++u) {
+        g.MapNeighbors(u, [&](NodeId v) {
+          if (u == v) return;
+          ref.adj[u].push_back(v);
+          if (u < v) ref.edges.insert({u, v});
+        });
+      }
+    }
+  });
+  return ref;
+}
+
+// Arms a forest from `handle` and the default variant's run_forest, and
+// compares it with the one-edge-at-a-time reference fed the same forest.
+void ExpectBulkArmingMatchesReference(const GraphHandle& handle,
+                                      const std::string& what) {
+  const NodeId n = handle.num_nodes();
+  const SpanningForestResult forest =
+      DefaultVariant().run_forest(handle, SamplingConfig());
+  DynamicForest armed(n);
+  armed.AdoptGraph(handle, forest);
+  const ReferenceArming ref = ArmOneEdgeAtATime(handle);
+
+  for (NodeId v = 0; v < n; ++v) {
+    ASSERT_EQ(armed.Neighbors(v), ref.adj[v]) << what << ": list of " << v;
+    ASSERT_EQ(armed.Neighbors(v).capacity(), ref.adj[v].capacity())
+        << what << ": capacity of " << v;
+  }
+  EXPECT_EQ(armed.num_edges(), ref.edges.size()) << what;
+  EdgeSet forest_edges;
+  for (const Edge& e : forest.edges) {
+    forest_edges.insert(Canon(e));
+    ASSERT_TRUE(armed.IsForestEdge(e.u, e.v)) << what;
+    ASSERT_TRUE(armed.IsForestEdge(e.v, e.u)) << what;
+  }
+  EXPECT_EQ(armed.num_forest_edges(), forest_edges.size()) << what;
+  for (const auto& [u, v] : ref.edges) {
+    ASSERT_TRUE(armed.HasEdge(u, v)) << what;
+    ASSERT_TRUE(armed.HasEdge(v, u)) << what;
+    ASSERT_EQ(armed.IsForestEdge(u, v), forest_edges.count({u, v}) == 1)
+        << what << ": edge " << u << "-" << v;
+  }
+  std::mt19937_64 rng(n);
+  for (int i = 0; i < 20000; ++i) {
+    const NodeId u = static_cast<NodeId>(rng() % n);
+    const NodeId v = static_cast<NodeId>(rng() % n);
+    const bool present = u != v && ref.edges.count(Canon({u, v})) == 1;
+    ASSERT_EQ(armed.HasEdge(u, v), present) << what;
+    ASSERT_EQ(armed.IsForestEdge(u, v),
+              u != v && forest_edges.count(Canon({u, v})) == 1)
+        << what;
+  }
+  EXPECT_EQ(armed.Labels(), CanonicalizeLabels(forest.labels)) << what;
+}
+
+// An RMAT list salted with self-loops, repeats and reversed repeats, each
+// at a random position, in every representation, at pool sizes 1 and 4.
+TEST(BulkArming, MatchesTheEdgeAtATimeBuildInEveryRepresentation) {
+  const NodeId n = 3000;
+  const EdgeList rmat = GenerateRmatEdges(n, 12000, /*seed=*/21);
+  std::mt19937_64 rng(21);
+  EdgeList list;
+  list.num_nodes = n;
+  for (const Edge& e : rmat.edges) {
+    list.edges.push_back(e);
+    switch (rng() % 8) {
+      case 0: {
+        const NodeId x = static_cast<NodeId>(rng() % n);
+        list.edges.push_back({x, x});
+        break;
+      }
+      case 1:
+        list.edges.push_back(list.edges[rng() % list.edges.size()]);
+        break;
+      case 2: {
+        const Edge r = list.edges[rng() % list.edges.size()];
+        list.edges.push_back({r.v, r.u});
+        break;
+      }
+    }
+  }
+  // Self-loops survive into the adjacency handles, so their filter runs too.
+  BuildOptions keep_loops;
+  keep_loops.remove_self_loops = false;
+  const Graph csr = BuildGraph(list, keep_loops);
+  const std::vector<std::pair<std::string, GraphHandle>> handles = {
+      {"coo", GraphHandle(list)},
+      {"csr", GraphHandle(csr)},
+      {"sharded", GraphHandle::Shard(csr, 3)},
+      {"compressed", GraphHandle::Compress(csr)},
+      {"mapped", GraphHandle::MapTempOrDie(csr)},
+  };
+  for (const size_t workers : {1, 4}) {
+    SetNumWorkers(workers);
+    for (const auto& [name, handle] : handles) {
+      ExpectBulkArmingMatchesReference(
+          handle, name + " at " + std::to_string(workers) + " workers");
+      if (::testing::Test::HasFatalFailure()) break;
+    }
+  }
+  SetNumWorkers(0);
 }
 
 }  // namespace
