@@ -255,57 +255,84 @@ int main(int argc, char** argv) {
   // Fixed 2000-edge batches into indexes of growing n (RMAT, 2n base
   // edges, Build -> Stream): the per-Insert snapshot publication should
   // stay flat as n grows, since it costs time in the batch, not in n.
-  // After the Inserts, one empty Erase times the deletion layer's arming:
+  // Each of 5 runs inserts 20 fresh batches; a row gives the median run's
+  // time per Insert with the quartiles [q1, q3] of the runs, and splits the
+  // mean Insert into its publication and the rest (process_batch_us). One
+  // empty Erase then times the deletion layer's arming:
   // run_forest over the built graph, the bulk load of the dynamic forest,
-  // and the replay of the 40,000 journaled edges.
+  // and the replay of the 200,000 journaled edges. Five more runs of fresh
+  // batches time the Inserts with the forest armed, which adds its
+  // InsertBatch to every Insert.
   bench::PrintTitle("Insert publication vs n (2000-edge batches, RMAT 2n)");
   {
     constexpr size_t kBatch = 2000;
     constexpr int kBatches = 20;
-    std::printf("%-10s %16s %18s %14s %10s\n", "n", "publish us/ins",
-                "process us/ins", "insert us/ins", "arm s");
+    constexpr int kRuns = 5;
+    std::printf("%-10s %9s %9s %24s %24s %8s\n", "n", "publish", "process",
+                "insert us [q1, q3]", "armed us [q1, q3]", "arm s");
     std::string rows;
     for (int lg = 16; lg <= 24; lg += 2) {
       const NodeId sn = NodeId{1} << lg;
-      const EdgeList stream =
-          GenerateRmatEdges(sn, 2ull * sn + kBatch * kBatches, /*seed=*/lg);
+      const EdgeList stream = GenerateRmatEdges(
+          sn, 2ull * sn + 2 * kRuns * kBatches * kBatch, /*seed=*/lg);
       EdgeList base;
       base.num_nodes = sn;
       base.edges.assign(stream.edges.begin(), stream.edges.begin() + 2 * sn);
+      std::vector<std::vector<Edge>> batches;
+      for (size_t at = 2 * sn; at + kBatch <= stream.size(); at += kBatch) {
+        batches.emplace_back(stream.edges.begin() + at,
+                             stream.edges.begin() + at + kBatch);
+      }
       Connectivity index;
       index.Build(GraphHandle(base)).Stream();
+      size_t next = 0;
+      const auto insert_run = [&] {
+        for (int b = 0; b < kBatches; ++b) index.Insert(batches[next++]);
+      };
+      // Seconds per run to microseconds per Insert.
+      const auto per_insert = [&](const bench::Timing& t) {
+        const double scale = 1e6 / kBatches;
+        return bench::Timing{scale * t.median, scale * t.q1, scale * t.q3};
+      };
       const stats::ServingSnapshot before = stats::ReadServing();
-      double insert_s = 0;
-      for (int b = 0; b < kBatches; ++b) {
-        const auto first = stream.edges.begin() + 2 * sn + b * kBatch;
-        const std::vector<Edge> batch(first, first + kBatch);
-        insert_s += bench::TimeIt([&] { index.Insert(batch); });
-      }
+      bench::Timing insert;
+      const double insert_s = bench::TimeIt(
+          [&] { insert = per_insert(bench::Repeat(insert_run, kRuns)); });
       const stats::ServingSnapshot after = stats::ReadServing();
       const double arm_s = bench::TimeIt([&] { index.Erase({}); });
+      const bench::Timing armed = per_insert(bench::Repeat(insert_run, kRuns));
       const double publish_us =
           static_cast<double>(after.publication_cost_us -
                               before.publication_cost_us) /
-          kBatches;
-      const double insert_us = 1e6 * insert_s / kBatches;
-      std::printf("%-10u %16.1f %18.1f %14.1f %10.3f\n", sn, publish_us,
-                  insert_us - publish_us, insert_us, arm_s);
-      char row[256];
+          (kRuns * kBatches);
+      const double process_us =
+          1e6 * insert_s / (kRuns * kBatches) - publish_us;
+      std::printf(
+          "%-10u %9.1f %9.1f %8.1f [%6.1f, %6.1f] %8.1f [%6.1f, %6.1f] "
+          "%8.3f\n",
+          sn, publish_us, process_us, insert.median, insert.q1, insert.q3,
+          armed.median, armed.q1, armed.q3, arm_s);
+      char row[512];
       std::snprintf(row, sizeof(row),
                     "%s    {\"name\": \"n%u\", \"n\": %u, "
                     "\"publication_cost_us\": %.1f, "
                     "\"process_batch_us\": %.1f, \"insert_us\": %.1f, "
-                    "\"arm_s\": %.4f}",
-                    rows.empty() ? "" : ",\n", sn, sn, publish_us,
-                    insert_us - publish_us, insert_us, arm_s);
+                    "\"insert_us_q1\": %.1f, \"insert_us_q3\": %.1f, "
+                    "\"armed_insert_us\": %.1f, "
+                    "\"armed_insert_us_q1\": %.1f, "
+                    "\"armed_insert_us_q3\": %.1f, \"arm_s\": %.4f}",
+                    rows.empty() ? "" : ",\n", sn, sn, publish_us, process_us,
+                    insert.median, insert.q1, insert.q3, armed.median,
+                    armed.q1, armed.q3, arm_s);
       rows += row;
     }
     if (FILE* f = std::fopen(publication_out, "w")) {
       std::fprintf(f,
                    "{\n  \"bench\": \"insert_publication_sweep\",\n"
                    "  \"batch_edges\": %zu,\n  \"batches\": %d,\n"
-                   "  \"workers\": %zu,\n  \"sweep\": [\n%s\n  ]\n}\n",
-                   kBatch, kBatches, NumWorkers(), rows.c_str());
+                   "  \"runs\": %d,\n  \"workers\": %zu,\n"
+                   "  \"sweep\": [\n%s\n  ]\n}\n",
+                   kBatch, kBatches, kRuns, NumWorkers(), rows.c_str());
       std::fclose(f);
       std::printf("wrote %s\n", publication_out);
     } else {

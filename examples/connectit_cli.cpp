@@ -36,10 +36,11 @@
 //               materializations" line stays 0 for every run.
 // --stream=<B>x<S>: static-to-streaming handoff mode. The last B*S edges
 //               are held out; the variant's static pass runs over the rest
-//               (on the chosen representation), its labeling seeds the
-//               variant's streaming structure, and the held-out edges are
-//               streamed through it in B batches of S. The final labeling
-//               is checked against a full static run over all edges.
+//               (on the chosen representation), Stream() hands its
+//               labeling to batch mode, and the held-out edges are
+//               inserted in B batches of S, each merging components in the
+//               published snapshot. The final labeling is checked against
+//               a full static run over all edges.
 // --erase=<E> (with --stream): after the insert batches, delete the first
 //               E distinct edges of the input in one Erase batch — the
 //               fully dynamic path (spanning forest + replacement search,
@@ -192,11 +193,10 @@ double Seconds(const std::chrono::steady_clock::time_point& t0) {
       .count();
 }
 
-// --stream mode: static pass over all but the held-out tail (Build), seed
-// the variant's streaming structure with its labeling (Stream), stream the
-// tail in batches (Insert), optionally delete edges (--erase, the fully
-// dynamic path), and verify against a full static run over whatever edges
-// survive.
+// --stream mode: static pass over all but the held-out tail (Build), hand
+// its labeling to batch mode (Stream), stream the tail in batches (Insert),
+// optionally delete edges (--erase, the fully dynamic path), and verify
+// against a full static run over whatever edges survive.
 int RunStreamMode(GraphRepresentation repr, size_t num_shards,
                   const EdgeList& all, const Connectivity::Spec& spec,
                   const std::string& sampling_name, size_t num_batches,
@@ -242,8 +242,8 @@ int RunStreamMode(GraphRepresentation repr, size_t num_shards,
       full_handle = GraphHandle::Shard(BuildGraph(all), num_shards);
       break;
     case GraphRepresentation::kMapped:
-      // Both seeds are served zero-copy from unlinked temp containers; the
-      // streamed tail then flows through the variant's streaming structure.
+      // Both static passes are served zero-copy from unlinked temp
+      // containers; the streamed tail then goes through Insert.
       base_handle = GraphHandle::MapTempOrDie(BuildGraph(base));
       full_handle = GraphHandle::MapTempOrDie(BuildGraph(all));
       break;
@@ -267,7 +267,7 @@ int RunStreamMode(GraphRepresentation repr, size_t num_shards,
           : CooCsrMaterializations();
   auto t0 = std::chrono::steady_clock::now();
   index.Build(base_handle);  // static pass...
-  index.Stream();            // ...whose labeling seeds the streaming form
+  index.Stream();            // ...whose labeling the batches start from
   const double static_seconds = Seconds(t0);
   std::printf("static pass: %.4f s (%.2e edges/s)\n", static_seconds,
               static_cast<double>(base.size()) / static_seconds);
@@ -329,12 +329,12 @@ int RunStreamMode(GraphRepresentation repr, size_t num_shards,
                 static_cast<unsigned long long>(CooCsrMaterializations() -
                                                 builds_before));
   } else if (repr == GraphRepresentation::kSharded) {
-    // Every seed is sharded-native: this must print 0.
+    // Every pass is sharded-native: this must print 0.
     std::printf("flat csr materializations: %llu\n",
                 static_cast<unsigned long long>(ShardedCsrMaterializations() -
                                                 builds_before));
   } else if (repr == GraphRepresentation::kMapped) {
-    // Every seed runs off the mapping: this must print 0.
+    // Every pass runs off the mapping: this must print 0.
     std::printf("mapped csr materializations: %llu\n",
                 static_cast<unsigned long long>(MappedCsrMaterializations() -
                                                 builds_before));
@@ -364,10 +364,10 @@ int RunStreamMode(GraphRepresentation repr, size_t num_shards,
   }
   if (report_numa) PrintLocality(locality_before);
 
-  // The handoff invariant: seeded streaming over the tail must land on the
-  // same partition as a static pass over the whole edge set — minus the
-  // erased edges, when --erase ran (every duplicate of an erased edge is
-  // the same adjacency, so all copies are dropped).
+  // The handoff invariant: streaming the tail onto the built labeling must
+  // land on the same partition as a static pass over the whole edge set —
+  // minus the erased edges, when --erase ran (every duplicate of an erased
+  // edge is the same adjacency, so all copies are dropped).
   const std::vector<NodeId> streamed = CanonicalizeLabels(index.Labels());
   Connectivity full_index(spec);
   std::vector<NodeId> full;

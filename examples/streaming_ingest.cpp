@@ -3,8 +3,8 @@
 // deployments use: yesterday's graph is loaded with one fast static pass,
 // today's edges then arrive in batches with connectivity queries mixed in.
 // The whole lifecycle is one Connectivity object: Build (bulk) -> Stream
-// (seeded handoff) -> Insert (batches + queries), with thread-safe reads
-// live throughout.
+// (handoff of the built labeling) -> Insert (batches + queries, answered
+// after each batch's updates), with thread-safe reads live throughout.
 
 #include <chrono>
 #include <cstdio>
@@ -34,7 +34,7 @@ int main() {
   Connectivity index(Connectivity::Spec::Auto(base_handle, /*streaming=*/true));
   auto t0 = std::chrono::steady_clock::now();
   index.Build(base_handle);  // static pass over yesterday's graph
-  index.Stream();            // adopt its labeling for incremental batches
+  index.Stream();            // its labeling is where the batches start
   const double bulk_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -72,7 +72,7 @@ int main() {
   std::printf("components so far : %u\n", index.NumComponents());
 
   // For reference: the cold alternative streams the bulk edges through
-  // batches instead of the static pass (Stream(n) = no seed).
+  // batches instead of the static pass (Stream(n) = n isolated vertices).
   Connectivity cold;
   cold.Stream(n);
   t0 = std::chrono::steady_clock::now();

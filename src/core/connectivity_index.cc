@@ -428,7 +428,7 @@ Connectivity::Connectivity(Connectivity&& other) noexcept {
   variant_ = other.variant_;  // registry storage is static; stays valid
   graph_ = std::move(other.graph_);
   built_ = other.built_;
-  streaming_ = std::move(other.streaming_);
+  streaming_ = other.streaming_;
   forest_ = std::move(other.forest_);
   insert_journal_ = std::move(other.insert_journal_);
   snapshot_.store(other.snapshot_.exchange(nullptr),
@@ -437,6 +437,7 @@ Connectivity::Connectivity(Connectivity&& other) noexcept {
   pages_ = std::move(other.pages_);
   members_ = std::move(other.members_);
   other.built_ = false;
+  other.streaming_ = false;
   other.insert_journal_.clear();
   other.graph_ = GraphHandle();
   // The moved-from index reverts to un-built but must keep serving (its
@@ -452,7 +453,7 @@ Connectivity& Connectivity::operator=(Connectivity&& other) noexcept {
     variant_ = other.variant_;
     graph_ = std::move(other.graph_);
     built_ = other.built_;
-    streaming_ = std::move(other.streaming_);
+    streaming_ = other.streaming_;
     forest_ = std::move(other.forest_);
     insert_journal_ = std::move(other.insert_journal_);
     snapshot_.store(other.snapshot_.exchange(nullptr),
@@ -461,6 +462,7 @@ Connectivity& Connectivity::operator=(Connectivity&& other) noexcept {
     pages_ = std::move(other.pages_);
     members_ = std::move(other.members_);
     other.built_ = false;
+    other.streaming_ = false;
     other.insert_journal_.clear();
     other.graph_ = GraphHandle();
     other.PublishFullLocked({});
@@ -484,18 +486,38 @@ void Connectivity::PublishFullLocked(const std::vector<NodeId>& labels) {
   if (prev != nullptr) RetirePages(*prev, next_version());
   SwapInLocked(MakeSnapshotData(labels, pages_, next_version()));
   members_.clear();
-  if (streaming_ == nullptr) return;
+  if (streaming_) LinkMembersLocked();
+}
+
+void Connectivity::RepublishLocked() {
+  SwapInLocked(ShareSnapshotData(*snapshot_.load(std::memory_order_relaxed),
+                                 next_version())
+                   .release());
+}
+
+void Connectivity::LinkMembersLocked() {
   // One cycle per component: every vertex goes in right after its
   // representative.
-  const NodeId n = static_cast<NodeId>(labels.size());
+  const SnapshotData& head = *snapshot_.load(std::memory_order_relaxed);
+  const NodeId n = head.num_nodes;
   members_.resize(n);
   ParallelFor(0, n, [&](size_t v) { members_[v] = static_cast<NodeId>(v); });
   for (NodeId v = 0; v < n; ++v) {
-    const NodeId rep = labels[v];
+    const NodeId rep = head.Label(v);
     if (rep == v) continue;
     members_[v] = members_[rep];
     members_[rep] = v;
   }
+}
+
+std::vector<uint8_t> Connectivity::AnswerLocked(
+    const std::vector<Edge>& queries) const {
+  const SnapshotData& head = *snapshot_.load(std::memory_order_relaxed);
+  std::vector<uint8_t> results(queries.size());
+  ParallelFor(0, queries.size(), [&](size_t i) {
+    results[i] = head.Label(queries[i].u) == head.Label(queries[i].v) ? 1 : 0;
+  });
+  return results;
 }
 
 void Connectivity::PublishInsertLocked(const std::vector<Edge>& updates) {
@@ -572,7 +594,7 @@ Connectivity& Connectivity::Build(const GraphHandle& graph) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   graph_ = std::move(prepared);
   built_ = true;
-  streaming_.reset();
+  streaming_ = false;
   forest_.reset();
   insert_journal_.clear();
   PublishFullLocked(labels);
@@ -582,52 +604,40 @@ Connectivity& Connectivity::Build(const GraphHandle& graph) {
 Connectivity& Connectivity::Stream() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   CheckBuilt("Stream");
-  if (!variant_->supports_streaming) {
-    DieF("Connectivity::Stream: the configured variant has no streaming "
-         "form (check variant().supports_streaming)");
-  }
-  // Adopt the published labeling (current after any Build, Insert or
-  // Erase) through the registry's seed seam: the FromStatic handoff
-  // without re-running the finish.
-  const SnapshotData& head = *snapshot_.load(std::memory_order_relaxed);
-  streaming_ = variant_->make_streaming(
-      StreamingSeed::FromLabels(Materialize(head.labels, head.num_nodes)));
-  // Publish the adopted (min-root normalized) labeling so reads switch to
-  // the streaming structure's representative choice at once.
-  PublishFullLocked(streaming_->Labels());
+  CheckStreamable();
+  // The batches start from the published labeling, current after any
+  // Build, Insert or Erase: the same pages go out under a new version.
+  streaming_ = true;
+  RepublishLocked();
+  LinkMembersLocked();
   return *this;
 }
 
 Connectivity& Connectivity::Stream(NodeId num_nodes) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  if (!variant_->supports_streaming) {
-    DieF("Connectivity::Stream: the configured variant has no streaming "
-         "form (check variant().supports_streaming)");
-  }
-  streaming_ = variant_->make_streaming(StreamingSeed::Cold(num_nodes));
+  CheckStreamable();
+  streaming_ = true;
   graph_ = GraphHandle();
   built_ = false;  // no static graph behind this state
   forest_.reset();
   insert_journal_.clear();
-  PublishFullLocked(streaming_->Labels());
+  PublishFullLocked(IdentityLabels(num_nodes));
   return *this;
 }
 
 bool Connectivity::streaming() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return streaming_ != nullptr;
+  return streaming_;
 }
 
 std::vector<uint8_t> Connectivity::Insert(const std::vector<Edge>& updates,
                                           const std::vector<Edge>& queries) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  if (streaming_ == nullptr) {
-    DieF("Connectivity::Insert requires Stream() first");
-  }
+  if (!streaming_) DieF("Connectivity::Insert requires Stream() first");
   // Before any structure changes: a rejected batch leaves no trace.
-  CheckEndpoints(updates, streaming_->num_nodes());
-  CheckEndpoints(queries, streaming_->num_nodes());
-  std::vector<uint8_t> results = streaming_->ProcessBatch(updates, queries);
+  const NodeId n = snapshot_.load(std::memory_order_relaxed)->num_nodes;
+  CheckEndpoints(updates, n);
+  CheckEndpoints(queries, n);
   // Keep the deletion layer in step: an armed forest absorbs the batch
   // directly; before the first Erase the journal records it for the
   // arming replay (see ArmForestLocked).
@@ -641,11 +651,12 @@ std::vector<uint8_t> Connectivity::Insert(const std::vector<Edge>& updates,
   const uint64_t publish_start_us = SteadyNowUs();
   PublishInsertLocked(updates);
   stats::RecordPublicationCost(SteadyNowUs() - publish_start_us);
-  return results;
+  return AnswerLocked(queries);
 }
 
 void Connectivity::ArmForestLocked() {
-  forest_ = std::make_unique<DynamicForest>(streaming_->num_nodes());
+  forest_ = std::make_unique<DynamicForest>(
+      snapshot_.load(std::memory_order_relaxed)->num_nodes);
   if (built_) {
     // Seed from the built graph through the variant's own spanning-forest
     // pass (every streaming-capable variant is root-based, so run_forest
@@ -665,39 +676,24 @@ void Connectivity::ArmForestLocked() {
 std::vector<uint8_t> Connectivity::Erase(const std::vector<Edge>& updates,
                                          const std::vector<Edge>& queries) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  if (streaming_ == nullptr) {
-    DieF("Connectivity::Erase requires Stream() first");
-  }
+  if (!streaming_) DieF("Connectivity::Erase requires Stream() first");
   // Out-of-range updates are misses (EraseBatch skips them); queries must
   // name vertices, checked before the forest arms or any edge goes.
-  CheckEndpoints(queries, streaming_->num_nodes());
+  CheckEndpoints(queries,
+                 snapshot_.load(std::memory_order_relaxed)->num_nodes);
   if (forest_ == nullptr) ArmForestLocked();
   const DynamicForest::EraseStats batch = forest_->EraseBatch(updates);
   stats::RecordEraseBatch(batch.erased, batch.misses, batch.forest_hits,
                           batch.replacement_searches,
                           batch.components_split);
-  const std::vector<NodeId>& labels = forest_->Labels();
+  // Published before Erase returns, like Insert: a split publishes the
+  // forest's labeling; otherwise the same pages go out under a new version.
   if (batch.labels_changed) {
-    // A component actually split: the insertion-only streaming structure
-    // cannot represent that, so reseed it from the forest's canonical
-    // labeling (the same FromLabels seam Stream() uses). Deletions whose
-    // replacement searches all succeeded change no labels and skip this.
-    streaming_ = variant_->make_streaming(StreamingSeed::FromLabels(labels));
-  }
-  std::vector<uint8_t> results(queries.size());
-  ParallelFor(0, queries.size(), [&](size_t i) {
-    results[i] = labels[queries[i].u] == labels[queries[i].v] ? 1 : 0;
-  });
-  // Published before Erase returns, like Insert: a split rebuilds the
-  // partition; otherwise the same pages go out under a new version.
-  if (batch.labels_changed) {
-    PublishFullLocked(labels);
+    PublishFullLocked(forest_->Labels());
   } else {
-    SwapInLocked(ShareSnapshotData(*snapshot_.load(std::memory_order_relaxed),
-                                   next_version())
-                     .release());
+    RepublishLocked();
   }
-  return results;
+  return AnswerLocked(queries);
 }
 
 SpanningForestResult Connectivity::SpanningForest() const {
@@ -754,6 +750,13 @@ NodeId Connectivity::num_nodes() const {
 GraphRepresentation Connectivity::representation() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return graph_.representation();
+}
+
+void Connectivity::CheckStreamable() const {
+  if (!variant_->supports_streaming) {
+    DieF("Connectivity::Stream: the configured variant has no streaming "
+         "form (check variant().supports_streaming)");
+  }
 }
 
 void Connectivity::CheckBuilt(const char* op) const {

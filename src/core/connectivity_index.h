@@ -21,10 +21,9 @@
 //
 // Lifecycle: Build runs the configured variant's static pass on the graph
 // (converted to the Spec's representation if one was requested); Stream
-// seeds the variant's own streaming structure from the published labeling
-// through the registry's StreamingSeed seam (the same validation and
-// min-rooted normalization as StreamingSeed::FromStatic, without re-running
-// the pass); Insert applies §3.5 batches.
+// hands the published labeling to batch mode; Insert applies §3.5 batches
+// to that labeling itself (the variant's streaming structures, streaming.h,
+// stay library algorithms), and Erase deletes edges.
 //
 // Serving model: every mutation (Build, Stream, Insert, Erase) finishes by
 // *publishing* an immutable, fully path-compressed Snapshot of the
@@ -44,9 +43,10 @@
 // of each merge (walking that component's member list) into copy-on-write
 // pages, and shares every other page with the previous snapshot.
 // Small-to-large bounds the relabelling over any insert sequence at
-// O(n log n). Build, Stream and an Erase that splits a component rebuild
-// the partition and publish it in one Θ(n) pass. The published snapshot is
-// the index's only copy of the served labeling.
+// O(n log n). Build, Stream(n) and an Erase that splits a component
+// publish the whole partition in one Θ(n) pass; Stream() shares the pages
+// it finds. The published snapshot is the index's only copy of the served
+// labeling.
 //
 // Spec is a builder: algorithm (typed descriptor or registry-name string),
 // sampling scheme, target representation, shard count.
@@ -254,7 +254,7 @@ class Connectivity {
 
   // Movable for setup-time ergonomics (pick-the-winner loops); the
   // moved-from index reverts to the un-built state of its spec. Not
-  // copyable — an index owns its streaming structure and lock.
+  // copyable — an index owns its labeling, its forest and its lock.
   Connectivity(Connectivity&& other) noexcept;
   Connectivity& operator=(Connectivity&& other) noexcept;
   Connectivity(const Connectivity&) = delete;
@@ -273,15 +273,15 @@ class Connectivity {
   // chaining.
   Connectivity& Build(const GraphHandle& graph);
 
-  // Hands off to batch-incremental mode (paper §3.5): seeds the variant's
-  // streaming structure from the published labeling (the built one, plus
-  // every Insert and Erase since) via the registry's StreamingSeed seam.
-  // Requires a prior Build and a streaming-capable variant (dies otherwise
-  // — query variant().supports_streaming first if unsure).
+  // Hands off to batch-incremental mode (paper §3.5) from the published
+  // labeling (the built one, plus every Insert and Erase since), whose
+  // pages go out again under a new version. Requires a prior Build and a
+  // streaming-capable variant (dies otherwise — query
+  // variant().supports_streaming first if unsure).
   Connectivity& Stream();
 
-  // Cold-starts streaming over `num_nodes` isolated vertices, no static
-  // pass (StreamingSeed::Cold). The from-scratch ingest shape.
+  // Cold-starts batch mode over `num_nodes` isolated vertices, no static
+  // pass. The from-scratch ingest shape.
   Connectivity& Stream(NodeId num_nodes);
 
   // True once Stream() has run; Insert is only legal then.
@@ -290,11 +290,12 @@ class Connectivity {
   // Applies one batch of edge insertions and answers the batched
   // connectivity queries (one byte per query: 1 = connected after this
   // batch). Batches serialize against each other; the post-batch labeling
-  // is published before Insert returns, so every subsequent read sees it.
-  // The publication costs time in the batch, not in n (see the header
-  // comment). An update or query endpoint >= num_nodes() throws
-  // std::out_of_range before anything changes: the batch is not applied
-  // and nothing is published.
+  // is published before Insert returns, so every subsequent read sees it,
+  // and the queries read that publication (a valid linearization for all
+  // three of the paper's batch types). The publication costs time in the
+  // batch, not in n (see the header comment). An update or query endpoint
+  // >= num_nodes() throws std::out_of_range before anything changes: the
+  // batch is not applied and nothing is published.
   std::vector<uint8_t> Insert(const std::vector<Edge>& updates,
                               const std::vector<Edge>& queries = {});
 
@@ -309,16 +310,15 @@ class Connectivity {
   // non-forest edge is free; a deleted forest edge triggers a
   // replacement-edge search over the smaller of the two trees it leaves,
   // so an Erase costs the sides it cuts, not n. Only when a component
-  // actually splits is
-  // the insertion-only streaming structure reseeded
-  // (StreamingSeed::FromLabels) and the labeling republished in full — a
+  // actually splits is the forest's labeling published in full — a
   // deletion with a surviving replacement changes no labels and no query
   // answer, and republishes the same pages under a new version. Erase
-  // publishes exactly once, like Insert, and ticks the erase counters in
-  // stats::ReadServing(). An update naming a vertex >= num_nodes() is a
-  // miss, like any absent edge; a query endpoint >= num_nodes() throws
-  // std::out_of_range before anything changes (the forest does not arm,
-  // nothing is erased or published).
+  // publishes exactly once, like Insert, answers its queries from that
+  // publication, and ticks the erase counters in stats::ReadServing(). An
+  // update naming a vertex >= num_nodes() is a miss, like any absent edge;
+  // a query endpoint >= num_nodes() throws std::out_of_range before
+  // anything changes (the forest does not arm, nothing is erased or
+  // published).
   //
   // The first Erase arms the forest completely before it returns, an
   // empty one included: run_forest, then a bulk load of the built graph
@@ -355,6 +355,7 @@ class Connectivity {
 
  private:
   void CheckBuilt(const char* op) const;
+  void CheckStreamable() const;  // dies without a streaming form
 
   // First-Erase arming: seeds forest_ from the built graph via the
   // variant's run_forest, then replays insert_journal_. Callers hold mu_
@@ -363,9 +364,15 @@ class Connectivity {
 
   // Full publication: one Θ(n) pass copies a fully compressed labeling
   // into fresh pages and recounts sizes and components. While streaming it
-  // also rebuilds the member lists Insert relabels from. Callers hold mu_
-  // exclusively.
+  // also relinks the member lists. Callers hold mu_ exclusively.
   void PublishFullLocked(const std::vector<NodeId>& labels);
+
+  // Callers hold mu_ exclusively: republish the current pages under a new
+  // version; rebuild members_ from the published labeling; answer queries
+  // from it (one byte each, 1 = same label).
+  void RepublishLocked();
+  void LinkMembersLocked();
+  std::vector<uint8_t> AnswerLocked(const std::vector<Edge>& queries) const;
 
   // Insert's publication: merges the components the batch connects,
   // relabelling the smaller side of each merge into copy-on-write pages.
@@ -389,7 +396,7 @@ class Connectivity {
   mutable std::shared_mutex mu_;
   GraphHandle graph_;  // the built graph, Spec representation
   bool built_ = false;
-  std::unique_ptr<StreamingConnectivity> streaming_;
+  bool streaming_ = false;  // Stream() has run: Insert and Erase are legal
 
   // Batch-deletion state. forest_ arms on the first Erase (null until
   // then — pure insert workloads never pay for it); insert_journal_

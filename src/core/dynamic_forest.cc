@@ -72,10 +72,10 @@ void DynamicForest::AdoptGraph(const GraphHandle& graph,
     using G = std::decay_t<decltype(g)>;
     if constexpr (std::is_same_v<G, EdgeList>) {
       // COO stays native: the raw edge list may carry duplicates and
-      // self-loops, which AddEdge drops, matching what BuildGraph's
+      // self-loops, which InsertBatch drops, matching what BuildGraph's
       // symmetrize/dedup would have produced. One pass in input order
-      // keeps each key's first occurrence, the edges AddEdge keeps, and
-      // counts their endpoints; the input size bounds the kept keys.
+      // keeps each key's first occurrence, the edges InsertBatch keeps,
+      // and counts their endpoints; the input size bounds the kept keys.
       const std::vector<Edge>& edges = g.edges;
       std::vector<uint8_t> kept(edges.size(), 0);
       edges_.Reserve(edges.size());
@@ -94,7 +94,7 @@ void DynamicForest::AdoptGraph(const GraphHandle& graph,
             ++degree[edges[i].v];
           });
       // Each part scans every kept edge in input order and appends the
-      // arcs of its own vertices, so each list keeps AddEdge's order.
+      // arcs of its own vertices, so each list keeps InsertBatch's order.
       ReserveLists(degree);
       const std::vector<NodeId> bounds = SplitByDegree(degree, NumWorkers());
       ParallelFor(
@@ -166,14 +166,6 @@ void DynamicForest::ReserveLists(const std::vector<EdgeId>& degree) {
   }
 }
 
-bool DynamicForest::AddEdge(NodeId u, NodeId v) {
-  if (u == v) return false;
-  if (!edges_.Insert(Key(u, v))) return false;
-  adj_[u].push_back(v);
-  adj_[v].push_back(u);
-  return true;
-}
-
 void DynamicForest::RemoveArc(NodeId u, NodeId v) {
   std::vector<NodeId>& nbrs = adj_[u];
   for (size_t i = 0; i < nbrs.size(); ++i) {
@@ -186,16 +178,27 @@ void DynamicForest::RemoveArc(NodeId u, NodeId v) {
 }
 
 void DynamicForest::InsertBatch(const std::vector<Edge>& updates) {
-  // Union the touched components over their canonical labels. labels_
-  // roots are component minima and the smaller root always survives, so
-  // the applied labeling stays canonical.
-  for (const Edge& e : updates) {
-    if (!AddEdge(e.u, e.v)) continue;
-    const NodeId loser =
-        pending_.Unite(labels_[e.u], labels_[e.v], std::less<NodeId>())
-            .second;
-    if (loser != kInvalidNode) forest_.Insert(Key(e.u, e.v));
-  }
+  // Each new edge joins both lists and unions the touched components over
+  // their canonical labels. labels_ roots are component minima and the
+  // smaller root always survives, so the applied labeling stays canonical.
+  InsertBatched(
+      edges_,
+      [&](const auto& emit) {
+        for (size_t i = 0; i < updates.size(); ++i) {
+          const auto [u, v] = updates[i];
+          if (u != v) emit(Key(u, v), i);
+        }
+      },
+      [&](size_t i, bool inserted) {
+        if (!inserted) return;
+        const auto [u, v] = updates[i];
+        adj_[u].push_back(v);
+        adj_[v].push_back(u);
+        const NodeId loser =
+            pending_.Unite(labels_[u], labels_[v], std::less<NodeId>())
+                .second;
+        if (loser != kInvalidNode) forest_.Insert(Key(u, v));
+      });
 }
 
 void DynamicForest::ApplyPendingMerges() {

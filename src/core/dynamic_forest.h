@@ -1,14 +1,15 @@
 // Dynamic spanning forest for batch deletions (the Erase backbone).
 //
-// The streaming union-find structures (streaming.h) are insertion-only:
+// The Connectivity façade's published labeling only ever merges on Insert:
 // a union can never be undone, so deletions need a second structure that
 // remembers *which* edges carry the connectivity. DynamicForest keeps,
-// alongside the streaming labeling:
+// beside the published labeling:
 //   - the current edge multigraph as per-vertex adjacency (deduplicated;
 //     self-loops are dropped, they never affect connectivity),
 //   - the subset of edges forming a spanning forest (seeded from the
 //     variant's own run_forest pass, then maintained incrementally), and
-//   - a canonical labeling (label = minimum vertex id of the component).
+//   - a canonical labeling (label = minimum vertex id of the component),
+//     which the façade publishes whenever an Erase splits a component.
 //
 // Deleting a non-forest edge is free — the forest still spans. Deleting a
 // forest edge (u, v) leaves two trees; walking both in lockstep finds the
@@ -38,8 +39,8 @@ namespace connectit {
 
 class DynamicForest {
  public:
-  // What one EraseBatch did, for the serving counters and the reseed
-  // decision in Connectivity::Erase.
+  // What one EraseBatch did, for the serving counters and the publication
+  // Connectivity::Erase chooses.
   struct EraseStats {
     uint64_t erased = 0;       // edges actually removed
     uint64_t misses = 0;       // absent edges and self-loops (no-ops)
@@ -50,7 +51,7 @@ class DynamicForest {
     // (0 = every deleted forest edge had a surviving replacement).
     uint64_t components_split = 0;
     // True iff the partition changed (components_split > 0), i.e. the
-    // streaming structure must be reseeded from Labels().
+    // published labeling is stale and Labels() must be published in full.
     bool labels_changed = false;
   };
 
@@ -62,23 +63,25 @@ class DynamicForest {
   // edges). Call at most once, on a fresh forest, before any Insert/Erase
   // batch.
   //
-  // A bulk load with the result of AddEdge-ing the graph one edge at a
-  // time: each list holds its neighbours in that order (input order for a
-  // COO list, whose self-loops and repeats are dropped; the
-  // representation's neighbour order otherwise) at the capacity those
-  // push_backs reach; the forest set is exactly forest.edges; the labels
-  // are forest.labels canonicalized to min-rooted form. The key sets are
-  // reserved once and filled through a prefetch window, the lists are
-  // reserved on the calling thread and filled in parallel.
+  // A bulk load with the result of adding the graph one edge at a time,
+  // each new edge appending one arc to both lists: each list holds its
+  // neighbours in that order (input order for a COO list, whose self-loops
+  // and repeats are dropped; the representation's neighbour order
+  // otherwise) at the capacity those push_backs reach; the forest set is
+  // exactly forest.edges; the labels are forest.labels canonicalized to
+  // min-rooted form. The key sets are reserved once and filled through a
+  // prefetch window, the lists are reserved on the calling thread and
+  // filled in parallel.
   void AdoptGraph(const GraphHandle& graph,
                   const SpanningForestResult& forest);
 
   // Applies edge insertions: new edges join the adjacency; an edge that
   // merges two components becomes a forest edge and the smaller canonical
   // label wins (labels stay min-rooted). Duplicates and self-loops are
-  // no-ops, mirroring their effect on the streaming union-find. Costs time
-  // in the batch, not in n: merges wait in a pending map until the next
-  // Labels() or EraseBatch applies them in one sweep.
+  // no-ops. Costs time in the batch, not in n: the edge keys go through the
+  // bulk load's prefetch window, and merges wait in a pending map until the
+  // next Labels() or EraseBatch applies them in one sweep. The result
+  // equals inserting the edges one at a time, in batch order.
   void InsertBatch(const std::vector<Edge>& updates);
 
   // Applies edge deletions; see the header comment for the algorithm.
@@ -92,9 +95,8 @@ class DynamicForest {
   }
   // The neighbours of v, in adjacency order.
   const std::vector<NodeId>& Neighbors(NodeId v) const { return adj_[v]; }
-  // The canonical labeling (label = min vertex id of the component) —
-  // always a valid StreamingSeed::FromLabels input. Applies the pending
-  // merges first.
+  // The canonical labeling (label = min vertex id of the component), fully
+  // compressed. Applies the pending merges first.
   const std::vector<NodeId>& Labels();
 
   NodeId num_nodes() const { return static_cast<NodeId>(adj_.size()); }
@@ -109,8 +111,6 @@ class DynamicForest {
     return (static_cast<uint64_t>(lo) << 32) | hi;
   }
 
-  // Inserts (u, v) into the adjacency; false for self-loops/duplicates.
-  bool AddEdge(NodeId u, NodeId v);
   // Reserves every list to the capacity degree[v] push_backs reach from
   // empty (the next power of two), on the calling thread: a list the
   // mutator later grows then frees its old buffer into the mutator's own

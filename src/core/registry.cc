@@ -89,14 +89,9 @@ SpanningForestResult RunForestOnHandle(const GraphHandle& handle,
 // warm seeds run this variant's own static finish through the same
 // per-representation dispatch as Variant::run (COO-native / compressed /
 // CSR, sampled or not) and hand the labeling to the streaming constructor.
-// FromLabels seeds skip the run and adopt the caller's labeling directly
-// (same AdoptSeedLabels normalization inside the constructor).
 template <typename Finish, typename StreamingT>
 std::unique_ptr<StreamingConnectivity> MakeSeededStreaming(
     StreamingSeed seed) {
-  if (seed.from_labels) {
-    return std::make_unique<StreamingT>(std::move(seed.labels));
-  }
   if (!seed.warm) return std::make_unique<StreamingT>(seed.n);
   return std::make_unique<StreamingT>(
       RunOnHandle<Finish>(seed.graph, seed.sampling));

@@ -62,14 +62,9 @@ namespace connectit {
 // COO edge-centric runs build no CSR, compressed runs decode in place,
 // sharded runs traverse the shards directly) and the streaming structure
 // adopts the resulting labeling, so a bulk load and its incremental
-// continuation use one algorithm and one parent array discipline.
-//
-// A third form, FromLabels, adopts an already-computed labeling without
-// re-running the finish — the seam the Connectivity façade
-// (connectivity_index.h) uses so Build + Stream costs one static pass, not
-// two. The adoption path (AdoptSeedLabels' validation and min-rooted
-// normalization) is identical to FromStatic's, so seeding from a pass's
-// labels and re-running the pass land on byte-identical streaming state.
+// continuation use one algorithm and one parent array discipline. The
+// Connectivity façade (connectivity_index.h) does not build these
+// structures: its batches update the published labeling directly.
 struct StreamingSeed {
   // Cold start: n isolated vertices. Implicit so that the pre-handoff call
   // shape make_streaming(n) stays the identity-seeded special case.
@@ -91,23 +86,10 @@ struct StreamingSeed {
     return seed;
   }
 
-  // Warm start from an existing labeling (any rooted forest over its index
-  // range; validated and normalized by AdoptSeedLabels exactly like the
-  // FromStatic path). Use when the static pass already ran and its labels
-  // are in hand — e.g. Connectivity::Stream() after Build.
-  static StreamingSeed FromLabels(std::vector<NodeId> labels) {
-    StreamingSeed seed(static_cast<NodeId>(labels.size()));
-    seed.labels = std::move(labels);
-    seed.from_labels = true;
-    return seed;
-  }
-
   NodeId n = 0;
   GraphHandle graph;  // empty unless warm
   SamplingConfig sampling;
   bool warm = false;
-  std::vector<NodeId> labels;  // empty unless from_labels
-  bool from_labels = false;
 };
 
 struct Variant {
@@ -142,8 +124,6 @@ struct Variant {
   // Consumes COO batches by definition (representation-independent). The
   // seed selects a cold start (vertex count) or a warm start adopting this
   // variant's static-pass labeling on any GraphHandle (see StreamingSeed).
-  // Taken by value so a temporary seed's labels move, not copy, into the
-  // streaming structure.
   std::function<std::unique_ptr<StreamingConnectivity>(StreamingSeed)>
       make_streaming;
 };

@@ -18,6 +18,11 @@
 // normalized by AdoptSeedLabels; the registry's make_streaming(StreamingSeed)
 // factory (registry.h) builds the seed labeling by running the variant's own
 // static finish on a GraphHandle.
+//
+// These are the paper's algorithms, tested and benchmarked as such; the
+// Connectivity façade (connectivity_index.h) does not run them. Its Insert
+// merges components in the published snapshot directly and answers a
+// batch's queries after all of its updates, which every type above allows.
 
 #ifndef CONNECTIT_CORE_STREAMING_H_
 #define CONNECTIT_CORE_STREAMING_H_

@@ -3,15 +3,17 @@
 //
 // The harness generates seeded random interleavings of Insert / Erase /
 // query batches against one Connectivity index and checks every answer —
-// the full labeling after each batch, and each batched Erase query —
-// against a sequential static recomputation over the tracked edge set
-// (SequentialComponents, the repo's ground-truth oracle). The sweep
-// covers every streaming variant × the csr/coo/sharded representations.
+// the full labeling after each batch, and each query batched with an
+// Insert or an Erase — against a sequential static recomputation over the
+// tracked edge set (SequentialComponents, the repo's ground-truth oracle).
+// The sweep covers every streaming variant × the csr/coo/sharded
+// representations.
 //
 // Seeds: two fixed TESTs make CI deterministic; the TimeVaryingSeed TEST
 // draws a fresh seed each run (override with CONNECTIT_DIFF_SEED=<n>) and
 // prints it, so a CI failure names the exact seed to reproduce with.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
@@ -69,14 +71,38 @@ struct HarnessConfig {
   size_t queries_per_batch = 16;
 };
 
+// Expects every answer to queries[q] to be oracle[u] == oracle[v].
+void ExpectAnswers(const std::vector<Edge>& queries,
+                   const std::vector<uint8_t>& answers,
+                   const std::vector<NodeId>& oracle, const std::string& what) {
+  ASSERT_EQ(answers.size(), queries.size()) << what;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const bool expected = oracle[queries[q].u] == oracle[queries[q].v];
+    EXPECT_EQ(answers[q] != 0, expected)
+        << what << " query " << q << " (" << queries[q].u << ","
+        << queries[q].v << ") disagrees with the oracle";
+  }
+}
+
 // One full differential run: Build(base) -> Stream -> alternating
-// Insert/Erase batches with inline Erase queries, oracle-checked after
-// every batch. Returns the number of operations exercised.
+// Insert/Erase batches, each with inline queries, oracle-checked after
+// every batch. Returns the number of updates and Erase queries exercised.
 size_t RunDifferential(const Variant& variant, GraphRepresentation repr,
                        uint64_t seed, const HarnessConfig& cfg) {
   std::mt19937_64 rng(seed);
   const NodeId n = cfg.n;
   auto random_vertex = [&] { return static_cast<NodeId>(rng() % n); };
+  // Insert queries draw from their own stream, so the updates and Erase
+  // queries of a seed stay the same with or without them.
+  std::mt19937_64 insert_query_rng(~seed);
+  auto random_queries = [&](std::mt19937_64& gen) {
+    std::vector<Edge> queries;
+    for (size_t i = 0; i < cfg.queries_per_batch; ++i) {
+      queries.push_back({static_cast<NodeId>(gen() % n),
+                         static_cast<NodeId>(gen() % n)});
+    }
+    return queries;
+  };
 
   EdgeSet present;
   EdgeList base;
@@ -108,8 +134,18 @@ size_t RunDifferential(const Variant& variant, GraphRepresentation repr,
       inserts.push_back(e);
       if (e.u != e.v) present.insert(Canon(e));
     }
-    index.Insert(inserts);
+    // The queries ride with the batch and must see all of it: every
+    // variant, whatever its batch type, answers after the updates.
+    const std::vector<Edge> insert_queries = random_queries(insert_query_rng);
+    const std::vector<uint8_t> insert_answers =
+        index.Insert(inserts, insert_queries);
     ops += inserts.size();
+    const std::string where = variant.name + " on " + ToString(repr) +
+                              ", seed " + std::to_string(seed) + ", batch " +
+                              std::to_string(batch_no);
+    ExpectAnswers(insert_queries, insert_answers,
+                  SequentialComponents(ToEdgeList(n, present)),
+                  where + ": Insert");
 
     // Erase batch: mostly present edges, salted with absent pairs (misses)
     // and self-loops; queries ride along and are checked exactly against
@@ -122,10 +158,7 @@ size_t RunDifferential(const Variant& variant, GraphRepresentation repr,
       erases.push_back(e);
       if (e.u != e.v) present.erase(Canon(e));
     }
-    std::vector<Edge> queries;
-    for (size_t i = 0; i < cfg.queries_per_batch; ++i) {
-      queries.push_back({random_vertex(), random_vertex()});
-    }
+    const std::vector<Edge> queries = random_queries(rng);
     const std::vector<uint8_t> answers = index.Erase(erases, queries);
     ops += erases.size() + queries.size();
 
@@ -133,17 +166,8 @@ size_t RunDifferential(const Variant& variant, GraphRepresentation repr,
     const std::vector<NodeId> expected =
         SequentialComponents(ToEdgeList(n, present));
     const std::vector<NodeId> got = CanonicalizeLabels(index.Labels());
-    EXPECT_EQ(got, expected)
-        << variant.name << " on " << ToString(repr) << ", seed " << seed
-        << ", batch " << batch_no << ": labeling diverged from the oracle";
-    for (size_t q = 0; q < queries.size(); ++q) {
-      const bool oracle = expected[queries[q].u] == expected[queries[q].v];
-      EXPECT_EQ(answers[q] != 0, oracle)
-          << variant.name << " on " << ToString(repr) << ", seed " << seed
-          << ", batch " << batch_no << ": Erase query " << q << " ("
-          << queries[q].u << "," << queries[q].v
-          << ") disagrees with the oracle";
-    }
+    EXPECT_EQ(got, expected) << where << ": labeling diverged from the oracle";
+    ExpectAnswers(queries, answers, expected, where + ": Erase");
     if (::testing::Test::HasFailure()) break;
   }
   return ops;
@@ -452,21 +476,25 @@ TEST(EdgeKeySet, ChurnAtAFixedLiveSizeDoesNotGrowTheTable) {
   }
 }
 
-// ---- Bulk arming vs the edge-at-a-time build ----
+// ---- Bulk arming and InsertBatch vs the edge-at-a-time build ----
 
 // The armed state DynamicForest::AdoptGraph must reproduce, built one edge
 // at a time the way the forest armed before the bulk load: for a COO list,
-// the AddEdge loop (first occurrence of each edge in input order, self-loops
-// dropped, one arc appended to each endpoint's list); for an adjacency
-// handle, each vertex's neighbours in the representation's order without
-// self-loops, one key per u < v arc. Lists grow by push_back, so their
-// capacities are the ones the armed lists must match.
+// the edge-at-a-time loop (first occurrence of each edge in input order,
+// self-loops dropped, one arc appended to each endpoint's list); for an
+// adjacency handle, each vertex's neighbours in the representation's order
+// without self-loops, one key per u < v arc. Lists grow by push_back, so
+// their capacities are the ones the armed lists must match. The forest
+// edges are run_forest's, and every label is its component's minimum.
 struct ReferenceArming {
   std::vector<std::vector<NodeId>> adj;
   EdgeSet edges;
+  EdgeSet forest;
+  std::vector<NodeId> labels;
 };
 
-ReferenceArming ArmOneEdgeAtATime(const GraphHandle& handle) {
+ReferenceArming ArmOneEdgeAtATime(const GraphHandle& handle,
+                                  const SpanningForestResult& forest) {
   ReferenceArming ref;
   const NodeId n = handle.num_nodes();
   ref.adj.resize(n);
@@ -488,11 +516,109 @@ ReferenceArming ArmOneEdgeAtATime(const GraphHandle& handle) {
       }
     }
   });
+  for (const Edge& e : forest.edges) ref.forest.insert(Canon(e));
+  ref.labels = CanonicalizeLabels(forest.labels);
   return ref;
 }
 
+// InsertBatch's rule applied one edge at a time, in batch order: a new
+// edge appends one arc to each endpoint's list, and one that joins two
+// components becomes a forest edge, the smaller label winning.
+void InsertOneEdgeAtATime(ReferenceArming& ref,
+                          const std::vector<Edge>& batch) {
+  for (const Edge& e : batch) {
+    if (e.u == e.v || !ref.edges.insert(Canon(e)).second) continue;
+    ref.adj[e.u].push_back(e.v);
+    ref.adj[e.v].push_back(e.u);
+    const NodeId a = ref.labels[e.u];
+    const NodeId b = ref.labels[e.v];
+    if (a == b) continue;
+    ref.forest.insert(Canon(e));
+    const NodeId keep = std::min(a, b);
+    const NodeId drop = std::max(a, b);
+    for (NodeId& label : ref.labels) {
+      if (label == drop) label = keep;
+    }
+  }
+}
+
+// Lists (order and capacity), edge and forest membership, and labels.
+void ExpectSameState(DynamicForest& armed, const ReferenceArming& ref,
+                     const std::string& what) {
+  const NodeId n = armed.num_nodes();
+  for (NodeId v = 0; v < n; ++v) {
+    ASSERT_EQ(armed.Neighbors(v), ref.adj[v]) << what << ": list of " << v;
+    ASSERT_EQ(armed.Neighbors(v).capacity(), ref.adj[v].capacity())
+        << what << ": capacity of " << v;
+  }
+  EXPECT_EQ(armed.num_edges(), ref.edges.size()) << what;
+  EXPECT_EQ(armed.num_forest_edges(), ref.forest.size()) << what;
+  for (const auto& [u, v] : ref.forest) {
+    ASSERT_TRUE(armed.IsForestEdge(u, v)) << what;
+    ASSERT_TRUE(armed.IsForestEdge(v, u)) << what;
+  }
+  for (const auto& [u, v] : ref.edges) {
+    ASSERT_TRUE(armed.HasEdge(u, v)) << what;
+    ASSERT_TRUE(armed.HasEdge(v, u)) << what;
+    ASSERT_EQ(armed.IsForestEdge(u, v), ref.forest.count({u, v}) == 1)
+        << what << ": edge " << u << "-" << v;
+  }
+  std::mt19937_64 rng(n);
+  for (int i = 0; i < 20000; ++i) {
+    const NodeId u = static_cast<NodeId>(rng() % n);
+    const NodeId v = static_cast<NodeId>(rng() % n);
+    ASSERT_EQ(armed.HasEdge(u, v), u != v && ref.edges.count(Canon({u, v})))
+        << what;
+    ASSERT_EQ(armed.IsForestEdge(u, v),
+              u != v && ref.forest.count(Canon({u, v})))
+        << what;
+  }
+  EXPECT_EQ(armed.Labels(), ref.labels) << what;
+}
+
+// An Insert batch of fresh pairs (many merge two components), pairs at a
+// few hub vertices (so one prefetch window appends several arcs to one
+// list), repeats and reversed repeats of present and earlier batch edges,
+// and self-loops.
+std::vector<Edge> MixedInsertBatch(const ReferenceArming& ref,
+                                   std::mt19937_64& rng) {
+  const NodeId n = static_cast<NodeId>(ref.adj.size());
+  const auto vertex = [&] { return static_cast<NodeId>(rng() % n); };
+  std::vector<Edge> batch;
+  while (batch.size() < 500) {
+    const NodeId x = vertex();
+    switch (rng() % 8) {
+      case 0:
+        batch.push_back({x, x});
+        break;
+      case 1:
+        if (!ref.adj[x].empty()) {
+          batch.push_back({x, ref.adj[x][rng() % ref.adj[x].size()]});
+        }
+        break;
+      case 2:
+      case 3:
+        if (!batch.empty()) {
+          const size_t back = rng() % std::min<size_t>(batch.size(), 16);
+          const Edge e = batch[batch.size() - 1 - back];
+          batch.push_back(rng() % 2 == 0 ? e : Edge{e.v, e.u});
+        }
+        break;
+      case 4:
+      case 5:
+        batch.push_back({static_cast<NodeId>(x % 4), vertex()});
+        break;
+      default:
+        batch.push_back({x, vertex()});
+    }
+  }
+  return batch;
+}
+
 // Arms a forest from `handle` and the default variant's run_forest, and
-// compares it with the one-edge-at-a-time reference fed the same forest.
+// compares it with the one-edge-at-a-time reference fed the same forest;
+// then sends the same mixed batches through InsertBatch and the
+// reference's loop and compares again after each.
 void ExpectBulkArmingMatchesReference(const GraphHandle& handle,
                                       const std::string& what) {
   const NodeId n = handle.num_nodes();
@@ -500,42 +626,20 @@ void ExpectBulkArmingMatchesReference(const GraphHandle& handle,
       DefaultVariant().run_forest(handle, SamplingConfig());
   DynamicForest armed(n);
   armed.AdoptGraph(handle, forest);
-  const ReferenceArming ref = ArmOneEdgeAtATime(handle);
-
-  for (NodeId v = 0; v < n; ++v) {
-    ASSERT_EQ(armed.Neighbors(v), ref.adj[v]) << what << ": list of " << v;
-    ASSERT_EQ(armed.Neighbors(v).capacity(), ref.adj[v].capacity())
-        << what << ": capacity of " << v;
+  ReferenceArming ref = ArmOneEdgeAtATime(handle, forest);
+  ExpectSameState(armed, ref, what + ", armed");
+  std::mt19937_64 rng(n + 1);
+  for (int b = 0; b < 4 && !::testing::Test::HasFatalFailure(); ++b) {
+    const std::vector<Edge> batch = MixedInsertBatch(ref, rng);
+    armed.InsertBatch(batch);
+    InsertOneEdgeAtATime(ref, batch);
+    ExpectSameState(armed, ref, what + ", Insert batch " + std::to_string(b));
   }
-  EXPECT_EQ(armed.num_edges(), ref.edges.size()) << what;
-  EdgeSet forest_edges;
-  for (const Edge& e : forest.edges) {
-    forest_edges.insert(Canon(e));
-    ASSERT_TRUE(armed.IsForestEdge(e.u, e.v)) << what;
-    ASSERT_TRUE(armed.IsForestEdge(e.v, e.u)) << what;
-  }
-  EXPECT_EQ(armed.num_forest_edges(), forest_edges.size()) << what;
-  for (const auto& [u, v] : ref.edges) {
-    ASSERT_TRUE(armed.HasEdge(u, v)) << what;
-    ASSERT_TRUE(armed.HasEdge(v, u)) << what;
-    ASSERT_EQ(armed.IsForestEdge(u, v), forest_edges.count({u, v}) == 1)
-        << what << ": edge " << u << "-" << v;
-  }
-  std::mt19937_64 rng(n);
-  for (int i = 0; i < 20000; ++i) {
-    const NodeId u = static_cast<NodeId>(rng() % n);
-    const NodeId v = static_cast<NodeId>(rng() % n);
-    const bool present = u != v && ref.edges.count(Canon({u, v})) == 1;
-    ASSERT_EQ(armed.HasEdge(u, v), present) << what;
-    ASSERT_EQ(armed.IsForestEdge(u, v),
-              u != v && forest_edges.count(Canon({u, v})) == 1)
-        << what;
-  }
-  EXPECT_EQ(armed.Labels(), CanonicalizeLabels(forest.labels)) << what;
 }
 
 // An RMAT list salted with self-loops, repeats and reversed repeats, each
-// at a random position, in every representation, at pool sizes 1 and 4.
+// at a random position, in every representation, at pool sizes 1 and 4;
+// then four mixed InsertBatch calls on each armed forest.
 TEST(BulkArming, MatchesTheEdgeAtATimeBuildInEveryRepresentation) {
   const NodeId n = 3000;
   const EdgeList rmat = GenerateRmatEdges(n, 12000, /*seed=*/21);

@@ -1,7 +1,7 @@
 // Concurrency stress for the batch-deletion path: snapshot readers race
 // against a writer alternating Erase / Insert batches. Runs under TSan in
 // CI (next to serving_snapshot_test) to certify the Erase mutator path —
-// forest maintenance, replacement search, streaming reseed, publication —
+// forest maintenance, replacement search, full publication on a split —
 // against the wait-free read path.
 //
 // Atomicity invariant under test: the graph is a set of disjoint pair
